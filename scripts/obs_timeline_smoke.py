@@ -12,9 +12,10 @@ Within one time budget this script:
    telemetry timeline and wrote a ``*.regressions.json`` whose sentinel
    verdict flags the slowed stage (``drift`` or ``divergent``, never
    ``match``);
-3. corrupts the timeline SQLite store, rebuilds it, and asserts the
-   rebuilt store returns identical entries and an identical
-   ``repro report`` rendering (the pure-cache contract);
+3. through a second handle on the run catalog, corrupts its SQLite
+   file, rebuilds it, and asserts the rebuilt catalog returns identical
+   timeline entries and an identical ``repro report`` rendering (the
+   pure-cache contract);
 4. runs ``repro report --check`` over the root and requires the
    documented regression exit code (5) plus a ``regressions.json``
    naming the slowed stage.
@@ -78,7 +79,6 @@ def main() -> int:
 
     from repro.obs.dashboard import render_report
     from repro.obs.sentinel import EXIT_REGRESSION
-    from repro.obs.timeline import TimelineStore
     from repro.service.cli import service_main
     from repro.service.jobs import JobSpec, Scheduler
     from repro.service.repository import RunRepository
@@ -92,8 +92,8 @@ def main() -> int:
 
     repository = RunRepository(root)
     repository.scan()
-    timeline = TimelineStore(root)
-    scheduler = Scheduler(repository, timeline=timeline)
+    timeline = RunRepository(root)
+    scheduler = Scheduler(repository)
     spec = JobSpec.from_dict({
         "kind": "bench",
         "domains": args.domains,

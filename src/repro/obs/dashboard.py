@@ -1,11 +1,11 @@
 """Timeline rendering: the ``repro report`` text view and the
 service's stdlib-only ``/dashboard`` HTML.
 
-Both views read straight from a :class:`~repro.obs.timeline.
-TimelineStore` and show the same facts: one section per trajectory
-(config series) with per-stage timing sparklines, the peak-RSS
-trajectory, the fidelity verdict history, and — for longitudinal runs —
-an epoch trend table.  The HTML is a ``<pre>``-heavy single page with
+Both views read straight from the run catalog's telemetry entries
+(:class:`~repro.service.repository.RunRepository`) and show the same
+facts: one section per trajectory (config series) with per-stage
+timing sparklines, the peak-RSS trajectory, the fidelity verdict
+history, and — for longitudinal runs — an epoch trend table.  The HTML is a ``<pre>``-heavy single page with
 no scripts, no external assets, and every dynamic string escaped; it
 exists so a browser pointed at a long-running ``repro serve`` can see
 the service's performance history without tooling.
@@ -14,11 +14,14 @@ the service's performance history without tooling.
 from __future__ import annotations
 
 import html
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs.sentinel import SentinelReport
-from repro.obs.timeline import TimelineEntry, TimelineStore
+from repro.obs.timeline import TimelineEntry
 from repro.report.ascii_plot import sparkline
+
+if TYPE_CHECKING:
+    from repro.service.repository import RunRepository
 
 #: Fidelity statuses compressed to one history letter each.
 _STATUS_LETTERS = {
@@ -101,7 +104,7 @@ def render_series(trajectory: List[TimelineEntry]) -> str:
 
 
 def epoch_trend_rows(
-    store: TimelineStore,
+    store: RunRepository,
 ) -> List[Dict[str, object]]:
     """Longitudinal runs folded into (plan, epoch) trend rows."""
     rows: List[Dict[str, object]] = []
@@ -120,7 +123,7 @@ def epoch_trend_rows(
 
 
 def render_report(
-    store: TimelineStore,
+    store: RunRepository,
     reports: Optional[List[SentinelReport]] = None,
 ) -> str:
     """The full ``repro report`` text: per-trajectory sections, the
@@ -169,7 +172,7 @@ def render_report(
 
 
 def render_html(
-    store: TimelineStore,
+    store: RunRepository,
     reports: Optional[List[SentinelReport]] = None,
     health: Optional[dict] = None,
 ) -> str:

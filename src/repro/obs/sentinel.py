@@ -3,8 +3,9 @@
 The experiment plane already knows how to judge "is this number close
 enough" — :class:`repro.experiments.spec.Tolerance` scores every paper
 expectation into ``match``/``drift``/``divergent``.  The sentinel
-points the same vocabulary at the **timeline** (:mod:`.timeline`):
-each trajectory's freshest entry is judged against its predecessor —
+points the same vocabulary at the **timeline** (:mod:`.timeline`) the
+run catalog stores: each trajectory's freshest entry is judged against
+its predecessor —
 
 * **per-stage wall clock** — the observed/baseline ratio under an
   ``at_most`` band: up to +20 % is ``match``, +20–50 % ``drift``,
@@ -30,9 +31,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from repro.obs.timeline import TimelineEntry, TimelineStore
+from repro.obs.timeline import TimelineEntry
+
+if TYPE_CHECKING:
+    from repro.service.repository import RunRepository
 
 #: Exit status for ``repro report --check`` when any trajectory drifted
 #: or diverged — distinct from the fidelity gate (3) and service
@@ -290,7 +294,7 @@ def _fidelity_rank(status: str) -> int:
 
 
 def check_series(
-    store: TimelineStore,
+    store: RunRepository,
     series_key: str,
     bands: Optional[dict] = None,
 ) -> Optional[SentinelReport]:
@@ -303,7 +307,7 @@ def check_series(
 
 
 def check_store(
-    store: TimelineStore, bands: Optional[dict] = None
+    store: RunRepository, bands: Optional[dict] = None
 ) -> List[SentinelReport]:
     """One report per trajectory with at least two points."""
     reports = []

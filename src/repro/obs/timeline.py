@@ -1,16 +1,15 @@
-"""The telemetry timeline: a persistent time-series over runs and benches.
+"""The telemetry timeline format: one entry per run or bench point.
 
 Every experiments run leaves a deterministic ``manifest.json`` plus a
 volatile ``timings.json``, and every bench invocation a ``BENCH_*.json``
-with a per-fingerprint ``trajectory`` — but until now each snapshot died
-with its file: nothing joined "this run took 12 s at 81 MiB" to "the
-same config took 9 s last month".  :class:`TimelineStore` indexes those
-facts into one SQLite time-series table, a sibling of the repository's
-run index with the same **pure cache** contract: the run directories
-and bench JSON files on disk are the source of truth, deleting the
-SQLite file loses nothing, and :meth:`rebuild` recreates a
-query-identical store (timestamps derive from file mtimes and the bench
-entries' own ``recorded_unix`` stamps, so even they survive a rebuild).
+with a per-fingerprint ``trajectory`` — but each snapshot dies with its
+file: nothing joins "this run took 12 s at 81 MiB" to "the same config
+took 9 s last month".  This module turns those files into
+:class:`TimelineEntry` values; the run catalog
+(:class:`repro.service.repository.RunRepository`) stores them next to
+its run rows, in the same pure-cache SQLite file.  Timestamps derive
+from file mtimes and the bench entries' own ``recorded_unix`` stamps,
+so even they survive a rebuild of that cache.
 
 Two entry sources:
 
@@ -19,9 +18,9 @@ Two entry sources:
   sidecar's per-stage wall clock;
 * ``bench`` — one entry per *trajectory position* per bench JSON file
   (the scheduler's ``bench/`` products and any committed
-  ``BENCH_*.json`` handed to the constructor): fingerprint, scale,
-  per-stage timings, peak RSS, and — for the file's freshest entry —
-  the six output digests.
+  ``BENCH_*.json`` handed to the catalog's constructor): fingerprint,
+  scale, per-stage timings, peak RSS, and — for the file's freshest
+  entry — the six output digests.
 
 Entries sharing one measurement configuration share a ``series_key``
 (a content hash of the config axes: source, scale, seed, domains,
@@ -35,55 +34,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import sqlite3
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-logger = logging.getLogger(__name__)
-
-#: Timeline filename inside the repository root.  Dot-prefixed so the
-#: run-dir globs never mistake it for a result.
-TIMELINE_FILENAME = ".repro-timeline.sqlite"
-
-#: Schema of the *timeline index* (not of the files it caches).
-#: Bumping it invalidates old stores, which simply rebuild from disk.
-_TIMELINE_SCHEMA = 1
-
-#: Bench files the sentinel wrote, living next to real bench output —
-#: never timeline input.
-_REGRESSIONS_SUFFIX = ".regressions.json"
-
-_TABLES = """
-CREATE TABLE IF NOT EXISTS meta (
-    key TEXT PRIMARY KEY, value TEXT NOT NULL);
-CREATE TABLE IF NOT EXISTS entries (
-    entry_id TEXT PRIMARY KEY,
-    source TEXT NOT NULL,
-    origin TEXT NOT NULL,
-    position INTEGER NOT NULL,
-    series_key TEXT NOT NULL,
-    fingerprint TEXT,
-    scale TEXT,
-    seed INTEGER,
-    domains INTEGER,
-    wan_rounds INTEGER,
-    scenario TEXT,
-    epoch_plan TEXT,
-    epoch_index INTEGER,
-    recorded_at REAL NOT NULL,
-    fidelity_status TEXT,
-    fidelity_counts TEXT NOT NULL,
-    timings TEXT NOT NULL,
-    rss_high_water_kib INTEGER,
-    digests TEXT NOT NULL,
-    metrics_digest TEXT,
-    extra TEXT NOT NULL);
-CREATE INDEX IF NOT EXISTS entries_series
-    ON entries (series_key, recorded_at, position, entry_id);
-"""
+if TYPE_CHECKING:
+    from repro.experiments.manifest import LoadedRun
 
 
 def _canonical_digest(value: object) -> str:
@@ -171,16 +127,14 @@ def _series_key(axes: Dict[str, object]) -> str:
 # -- extraction from the two source formats ----------------------------
 
 
-def entry_from_run_dir(run_dir: Union[str, Path]) -> TimelineEntry:
-    """One timeline entry from a ``run-<hash>/`` directory.
+def entry_from_run(loaded: "LoadedRun") -> TimelineEntry:
+    """One timeline entry from a ``run-<hash>/`` directory read back
+    through :meth:`~repro.experiments.manifest.LoadedRun.from_dir`.
 
     Raises ``OSError``/``ValueError`` on corrupt directories, same
-    contract as the repository's manifest loader.
+    contract as the manifest loader.
     """
-    from repro.experiments.manifest import LoadedRun
-
-    run_dir = Path(run_dir)
-    loaded = LoadedRun.from_dir(run_dir)
+    run_dir = loaded.run_dir
     manifest = loaded.manifest
     config = manifest.get("config") or {}
     fidelity = manifest.get("fidelity") or {}
@@ -342,290 +296,18 @@ def entries_from_bench_file(
     return entries
 
 
-# -- the store ---------------------------------------------------------
+def __getattr__(name: str):
+    # Resolved on first use, because repro.service imports this module.
+    if name == "TimelineStore":
+        # perfbench/corpus.py still opens the pre-merge store by this
+        # name; the run catalog is that store now.
+        from repro.service.repository import RunRepository
 
+        return RunRepository
+    if name == "TIMELINE_FILENAME":
+        # perfbench/corpus.py still stats the pre-merge store file by
+        # this name; the catalog keeps everything in its one file.
+        from repro.service.repository import INDEX_FILENAME
 
-@dataclass
-class TimelineScanReport:
-    """What one :meth:`TimelineStore.scan` pass found."""
-
-    entries: int = 0
-    runs: int = 0
-    benches: int = 0
-    skipped: List[Dict[str, str]] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "entries": self.entries,
-            "runs": self.runs,
-            "benches": self.benches,
-            "skipped": list(self.skipped),
-        }
-
-
-class TimelineStore:
-    """SQLite-indexed telemetry trajectories over one repository root.
-
-    ``bench_paths`` names bench JSON files *outside* the root (the
-    committed ``BENCH_*.json`` family) to fold into every scan; the
-    root's own ``bench/`` products are always included.
-    """
-
-    def __init__(
-        self,
-        root: Union[str, Path],
-        db_path: Optional[Union[str, Path]] = None,
-        bench_paths: Sequence[Union[str, Path]] = (),
-    ):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.db_path = (
-            Path(db_path) if db_path is not None
-            else self.root / TIMELINE_FILENAME
-        )
-        self.bench_paths = [Path(p) for p in bench_paths]
-        self._lock = threading.RLock()
-        self._conn = self._connect()
-
-    # -- lifecycle -----------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.db_path, check_same_thread=False)
-        try:
-            conn.executescript(_TABLES)
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key = 'timeline_schema'"
-            ).fetchone()
-        except sqlite3.DatabaseError:
-            # A corrupt store is only a cache: drop it and start over.
-            conn.close()
-            self.db_path.unlink()
-            conn = sqlite3.connect(self.db_path, check_same_thread=False)
-            conn.executescript(_TABLES)
-            row = None
-        if row is not None and int(row[0]) != _TIMELINE_SCHEMA:
-            conn.close()
-            self.db_path.unlink()
-            conn = sqlite3.connect(self.db_path, check_same_thread=False)
-            conn.executescript(_TABLES)
-            row = None
-        if row is None:
-            conn.execute(
-                "INSERT OR REPLACE INTO meta VALUES "
-                "('timeline_schema', ?)",
-                (str(_TIMELINE_SCHEMA),),
-            )
-            conn.commit()
-        return conn
-
-    def _ensure_store(self) -> None:
-        """Reconnect if the store file was deleted out from under a
-        live instance — it is only a cache."""
-        if not self.db_path.exists():
-            self._conn.close()
-            self._conn = self._connect()
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    def __enter__(self) -> "TimelineStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- ingestion -----------------------------------------------------
-
-    def _bench_files(self) -> List[Path]:
-        files = sorted(
-            p for p in (self.root / "bench").glob("*.json")
-            if not p.name.endswith(_REGRESSIONS_SUFFIX)
-        )
-        for extra in self.bench_paths:
-            if extra not in files:
-                files.append(extra)
-        return files
-
-    def scan(self) -> TimelineScanReport:
-        """Re-index every run dir and bench file from disk (rows for
-        vanished sources are dropped, every surviving one re-read)."""
-        report = TimelineScanReport()
-        entries: List[TimelineEntry] = []
-        for run_dir in sorted(self.root.glob("run-*")):
-            if not run_dir.is_dir():
-                continue
-            try:
-                entries.append(entry_from_run_dir(run_dir))
-                report.runs += 1
-            except (OSError, ValueError) as error:
-                logger.warning(
-                    "timeline: skipping run dir %s: %s", run_dir, error
-                )
-                report.skipped.append(
-                    {"path": str(run_dir), "reason": str(error)}
-                )
-        for bench_file in self._bench_files():
-            try:
-                entries.extend(entries_from_bench_file(bench_file))
-                report.benches += 1
-            except (OSError, ValueError) as error:
-                logger.warning(
-                    "timeline: skipping bench file %s: %s",
-                    bench_file, error,
-                )
-                report.skipped.append(
-                    {"path": str(bench_file), "reason": str(error)}
-                )
-        with self._lock:
-            self._ensure_store()
-            cursor = self._conn.cursor()
-            cursor.execute("DELETE FROM entries")
-            for entry in entries:
-                self._insert(cursor, entry)
-            self._conn.commit()
-        report.entries = len(entries)
-        return report
-
-    def rebuild(self) -> TimelineScanReport:
-        """Drop the SQLite file entirely and re-create it from disk."""
-        with self._lock:
-            self._conn.close()
-            if self.db_path.exists():
-                self.db_path.unlink()
-            self._conn = self._connect()
-        return self.scan()
-
-    def record_run(self, run_dir: Union[str, Path]) -> TimelineEntry:
-        """Index (or refresh) one run directory; raises on corrupt
-        input — targeted recording is for the writer that just
-        produced the directory."""
-        entry = entry_from_run_dir(run_dir)
-        self._upsert([entry])
-        return entry
-
-    def record_bench(
-        self, path: Union[str, Path]
-    ) -> List[TimelineEntry]:
-        """Index (or refresh) one bench JSON file's trajectory."""
-        entries = entries_from_bench_file(path)
-        self._upsert(entries)
-        return entries
-
-    def _upsert(self, entries: Iterable[TimelineEntry]) -> None:
-        with self._lock:
-            self._ensure_store()
-            cursor = self._conn.cursor()
-            for entry in entries:
-                self._insert(cursor, entry)
-            self._conn.commit()
-
-    @staticmethod
-    def _insert(cursor, entry: TimelineEntry) -> None:
-        cursor.execute(
-            "INSERT OR REPLACE INTO entries VALUES "
-            "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
-            "?, ?, ?)",
-            (
-                entry.entry_id, entry.source, entry.origin,
-                entry.position, entry.series_key, entry.fingerprint,
-                entry.scale, entry.seed, entry.domains,
-                entry.wan_rounds, entry.scenario, entry.epoch_plan,
-                entry.epoch_index, entry.recorded_at,
-                entry.fidelity_status,
-                json.dumps(entry.fidelity_counts, sort_keys=True),
-                json.dumps(entry.timings, sort_keys=True),
-                entry.rss_high_water_kib,
-                json.dumps(entry.digests, sort_keys=True),
-                entry.metrics_digest,
-                json.dumps(entry.extra, sort_keys=True, default=str),
-            ),
-        )
-
-    # -- queries -------------------------------------------------------
-
-    @staticmethod
-    def _entry_from_row(row) -> TimelineEntry:
-        return TimelineEntry(
-            entry_id=row[0], source=row[1], origin=row[2],
-            position=row[3], series_key=row[4], fingerprint=row[5],
-            scale=row[6], seed=row[7], domains=row[8],
-            wan_rounds=row[9], scenario=row[10], epoch_plan=row[11],
-            epoch_index=row[12], recorded_at=row[13],
-            fidelity_status=row[14],
-            fidelity_counts=json.loads(row[15]),
-            timings=json.loads(row[16]),
-            rss_high_water_kib=row[17],
-            digests=json.loads(row[18]),
-            metrics_digest=row[19],
-            extra=json.loads(row[20]),
-        )
-
-    def entries(
-        self,
-        source: Optional[str] = None,
-        series_key: Optional[str] = None,
-        scale: Optional[str] = None,
-        scenario: Optional[str] = None,
-        fingerprint: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> List[TimelineEntry]:
-        """Entries matching every given filter, trajectory order
-        (recorded_at, then position, then id — deterministic given the
-        same files on disk)."""
-        clauses, params = [], []
-        for column, value in (
-            ("source", source), ("series_key", series_key),
-            ("scale", scale), ("scenario", scenario),
-            ("fingerprint", fingerprint),
-        ):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-        sql = "SELECT * FROM entries"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY recorded_at, position, entry_id"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(limit)
-        with self._lock:
-            self._ensure_store()
-            rows = self._conn.execute(sql, params).fetchall()
-        return [self._entry_from_row(row) for row in rows]
-
-    def series_keys(self) -> List[str]:
-        """Every distinct trajectory, ordered by each one's first
-        entry (so reports list stable, oldest-first sections)."""
-        with self._lock:
-            self._ensure_store()
-            rows = self._conn.execute(
-                "SELECT series_key, MIN(recorded_at), MIN(entry_id) "
-                "FROM entries GROUP BY series_key "
-                "ORDER BY 2, 3"
-            ).fetchall()
-        return [row[0] for row in rows]
-
-    def trajectory(self, series_key: str) -> List[TimelineEntry]:
-        """One config's entries, oldest first."""
-        return self.entries(series_key=series_key)
-
-    def counts(self) -> Dict[str, int]:
-        """Cardinalities for ``/health`` and ``/metrics``."""
-        with self._lock:
-            self._ensure_store()
-            total = self._conn.execute(
-                "SELECT COUNT(*) FROM entries"
-            ).fetchone()[0]
-            by_source = dict(self._conn.execute(
-                "SELECT source, COUNT(*) FROM entries GROUP BY source"
-            ).fetchall())
-            series = self._conn.execute(
-                "SELECT COUNT(DISTINCT series_key) FROM entries"
-            ).fetchone()[0]
-        return {
-            "entries": total,
-            "run_entries": int(by_source.get("run", 0)),
-            "bench_entries": int(by_source.get("bench", 0)),
-            "series_keys": series,
-        }
+        return INDEX_FILENAME
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

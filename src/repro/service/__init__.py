@@ -3,10 +3,15 @@
 Three layers over the run-manifest plane (ROADMAP item 5, the "serves
 traffic" half of the north star):
 
-* **repository** (:mod:`repro.service.repository`) — a SQLite-indexed
-  catalog of ``run-<hash>/`` and ``series-<hash>/`` directories.  The
-  directories stay the source of truth; the index is a pure cache that
-  rebuilds losslessly from disk.
+* **repository** (:mod:`repro.service.repository`) — the one run
+  catalog: a SQLite index (``.repro-index.sqlite``) of
+  ``run-<hash>/`` and ``series-<hash>/`` directories and of the
+  telemetry timeline's entries (one per run directory and per bench
+  trajectory point).  The files stay the source of truth; the index is
+  a pure cache that rebuilds losslessly from disk in one scan, and the
+  scheduler, the API, ``repro report``, the sentinel and the dashboard
+  all read it.  A ``.repro-timeline.sqlite`` left in a root by older
+  versions is no longer read.
 * **scheduler** (:mod:`repro.service.jobs`) — deterministic,
   content-addressed :class:`JobSpec`\\ s (single-shot campaigns, epoch
   series, bench profiles) executed through the *unchanged*

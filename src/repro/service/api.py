@@ -28,8 +28,8 @@ Routes::
     GET  /jobs/<id>              one job's record
     POST /jobs                   submit a JobSpec (JSON body; ?force=1
                                  re-queues an identical spec)
-    POST /scan                   re-index the repository (and timeline)
-                                 from disk
+    POST /scan                   re-index the catalog (runs, series and
+                                 telemetry) from disk
 
 Unknown ids are 404, bad specs/queries 400, everything else 500 — all
 with ``{"error": ...}`` JSON bodies.
@@ -100,22 +100,18 @@ def encode_payload(content_type: str, payload: object) -> bytes:
 
 
 class ServiceAPI:
-    """Route handlers bound to one repository (+ optional scheduler)."""
+    """Route handlers bound to one run catalog (+ optional scheduler)."""
 
     def __init__(
         self,
         repository,
         scheduler=None,
         obs: Optional[Observability] = None,
-        timeline=None,
         access_log=None,
     ):
         self.repository = repository
         self.scheduler = scheduler
         self.obs = obs or Observability(metrics=MetricsRegistry())
-        #: Optional :class:`repro.obs.timeline.TimelineStore` backing
-        #: ``/timeline`` and ``/dashboard`` (503 without one).
-        self.timeline = timeline
         #: Optional :class:`repro.obs.events.EventSink` receiving one
         #: NDJSON access-log event per handled request.
         self.access_log = access_log
@@ -212,8 +208,6 @@ class ServiceAPI:
                 return self._submit_job(query, body, headers)
             if segments == ["scan"]:
                 report = self.repository.scan().as_dict()
-                if self.timeline is not None:
-                    report["timeline"] = self.timeline.scan().as_dict()
                 return 200, "application/json", report
             raise _HTTPError(404, f"no POST route /{'/'.join(segments)}")
         if method != "GET":
@@ -243,11 +237,15 @@ class ServiceAPI:
         from repro.artifacts.keys import code_fingerprint
         from repro.experiments.manifest import MANIFEST_SCHEMA_VERSION
 
+        counts = self.repository.counts()
         payload = {
             "status": "ok",
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "code_fingerprint": code_fingerprint(),
-            "index": self.repository.counts(),
+            "index": {
+                "runs": counts.pop("runs"),
+                "series": counts.pop("series"),
+            },
             "scheduler": self.scheduler is not None,
         }
         if self.scheduler is not None:
@@ -257,8 +255,8 @@ class ServiceAPI:
                 for status in ("pending", "running", "completed",
                                "failed")
             }
-        if self.timeline is not None:
-            payload["timeline"] = self.timeline.counts()
+        # What remains are the telemetry entry counts.
+        payload["timeline"] = counts
         return 200, "application/json", payload
 
     @staticmethod
@@ -374,29 +372,23 @@ class ServiceAPI:
                 ).set(
                     sum(1 for r in queue if r.status == "pending")
                 )
-            if self.timeline is not None:
-                timeline_counts = self.timeline.counts()
-                for source in ("run", "bench"):
-                    metrics.gauge(
-                        "service_timeline_entries", volatile=True,
-                        source=source,
-                    ).set(timeline_counts[f"{source}_entries"])
+            for source in ("run", "bench"):
+                metrics.gauge(
+                    "service_timeline_entries", volatile=True,
+                    source=source,
+                ).set(counts[f"{source}_entries"])
         return 200, "text/plain", metrics.render_prometheus()
 
     def _timeline(self, rest, query):
-        if self.timeline is None:
-            raise _HTTPError(
-                503, "this server runs without a telemetry timeline"
-            )
         if rest == ["series"]:
             return 200, "application/json", {
-                "series": self.timeline.series_keys()
+                "series": self.repository.series_keys()
             }
         if rest:
             raise _HTTPError(
                 404, f"no route /timeline/{'/'.join(rest)}"
             )
-        entries = self.timeline.entries(
+        entries = self.repository.entries(
             source=query.get("source"),
             series_key=query.get("series"),
             scale=query.get("scale"),
@@ -409,21 +401,17 @@ class ServiceAPI:
         }
 
     def _dashboard(self, query):
-        if self.timeline is None:
-            raise _HTTPError(
-                503, "this server runs without a telemetry timeline"
-            )
         from repro.obs.dashboard import render_html, render_report
         from repro.obs.sentinel import check_store
 
-        reports = check_store(self.timeline)
+        reports = check_store(self.repository)
         if query.get("format") == "text":
             return 200, "text/plain", render_report(
-                self.timeline, reports
+                self.repository, reports
             )
         _, _, health = self._health()
         return 200, "text/html", render_html(
-            self.timeline, reports, health=health
+            self.repository, reports, health=health
         )
 
     def _jobs(self, rest, query):

@@ -229,7 +229,7 @@ def build_service_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--rebuild", action="store_true",
-        help="drop the timeline SQLite file and re-create it before "
+        help="drop the catalog's SQLite file and re-create it before "
              "reporting (proves the pure-cache contract)",
     )
     report.add_argument("--json", action="store_true")
@@ -515,9 +515,9 @@ def _report(args) -> int:
         worst_status,
         write_regressions,
     )
-    from repro.obs.timeline import TimelineStore
+    from repro.service.repository import RunRepository
 
-    with TimelineStore(args.root, bench_paths=args.bench) as store:
+    with RunRepository(args.root, bench_paths=args.bench) as store:
         if args.rebuild:
             store.rebuild()
         else:

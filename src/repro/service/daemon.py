@@ -37,21 +37,15 @@ class ReproService:
         access_log: bool = True,
     ):
         from repro.obs.events import EventSink
-        from repro.obs.timeline import TimelineStore
 
         self.obs = Observability(metrics=MetricsRegistry())
         self.repository = RunRepository(root)
         report = self.repository.scan()
         logger.info(
-            "indexed %d runs, %d series (%d skipped) under %s",
-            report.runs, report.series, len(report.skipped), root,
-        )
-        self.timeline = TimelineStore(root)
-        timeline_report = self.timeline.scan()
-        logger.info(
-            "timeline: %d entries (%d runs, %d benches)",
-            timeline_report.entries, timeline_report.runs,
-            timeline_report.benches,
+            "indexed %d runs, %d series, %d telemetry entries "
+            "(%d benches; %d skipped) under %s",
+            report.runs, report.series, report.entries, report.benches,
+            len(report.skipped) + len(report.skipped_benches), root,
         )
         #: Per-request NDJSON access log — write-through only (the
         #: daemon must not buffer its own request history in memory).
@@ -67,13 +61,13 @@ class ReproService:
         self.scheduler = (
             Scheduler(
                 self.repository, artifact_store=store, obs=self.obs,
-                max_attempts=max_attempts, timeline=self.timeline,
+                max_attempts=max_attempts,
             )
             if scheduler_enabled else None
         )
         self.api = ServiceAPI(
             self.repository, scheduler=self.scheduler, obs=self.obs,
-            timeline=self.timeline, access_log=self.access_log,
+            access_log=self.access_log,
         )
         self.poll_interval = poll_interval
         self.server = self.api.make_server(host, port)
@@ -142,6 +136,5 @@ class ReproService:
                 thread.join(timeout=10)
         self._threads.clear()
         self.repository.close()
-        self.timeline.close()
         if self.access_log is not None:
             self.access_log.close()

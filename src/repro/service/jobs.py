@@ -228,7 +228,6 @@ class Scheduler:
         artifact_store=None,
         obs: Observability = NOOP,
         max_attempts: int = 1,
-        timeline=None,
     ):
         self.repository = repository
         self.jobs_dir = Path(repository.root) / "jobs"
@@ -244,10 +243,6 @@ class Scheduler:
         #: attempted this many times (1 = the historic no-retry
         #: behaviour).
         self.max_attempts = max(1, int(max_attempts))
-        #: Optional :class:`repro.obs.timeline.TimelineStore` —
-        #: completed jobs auto-append their telemetry, and bench jobs
-        #: get a regression-sentinel pass over their trajectory.
-        self.timeline = timeline
         #: The record currently being executed (provenance for the
         #: produced run's ``timings.json``).
         self._active_job: Optional[JobRecord] = None
@@ -483,7 +478,7 @@ class Scheduler:
         )
         run_dir = Path(self.repository.root) / manifest.run_id
         record = self.repository.ingest_run_dir(run_dir)
-        self._record_timeline_run(run_dir)
+        self._count_appends("run", 1)
         return {
             "run_id": manifest.run_id,
             "fidelity_status": record.fidelity_status,
@@ -528,10 +523,7 @@ class Scheduler:
         record = self.repository.ingest_series_dir(
             Path(self.repository.root) / series.series_id
         )
-        for run_id in record.run_ids:
-            self._record_timeline_run(
-                Path(self.repository.root) / run_id
-            )
+        self._count_appends("run", len(record.run_ids))
         epoch0 = series.epochs[0].manifest.fidelity
         return {
             "series_id": series.series_id,
@@ -591,49 +583,35 @@ class Scheduler:
             "bench_path": str(out),
             "digests": bench.get("digests", {}),
         }
-        outcome.update(self._record_timeline_bench(out))
+        outcome.update(self._record_bench(out))
         return outcome
 
-    # -- timeline hooks ------------------------------------------------
+    # -- telemetry ------------------------------------------------------
 
-    def _record_timeline_run(self, run_dir: Path) -> None:
-        """Best-effort append to the telemetry timeline (a timeline
-        problem must never fail the job that produced the run)."""
-        if self.timeline is None:
-            return
-        try:
-            self.timeline.record_run(run_dir)
-            self.obs.metrics.counter(
-                "service_timeline_appends_total", volatile=True,
-                source="run",
-            ).inc()
-        except (OSError, ValueError) as error:
-            logger.warning(
-                "timeline: could not record %s: %s", run_dir, error
-            )
+    def _count_appends(self, source: str, count: int) -> None:
+        self.obs.metrics.counter(
+            "service_timeline_appends_total", volatile=True,
+            source=source,
+        ).inc(count)
 
-    def _record_timeline_bench(self, path: Path) -> Dict[str, object]:
-        """Append a bench file's trajectory to the timeline, then run
-        the regression sentinel over the touched series and persist the
-        verdicts as ``<stem>.regressions.json`` next to the output."""
-        if self.timeline is None:
-            return {}
+    def _record_bench(self, path: Path) -> Dict[str, object]:
+        """Append a bench file's trajectory to the catalog's timeline,
+        then run the regression sentinel over the touched series and
+        persist the verdicts as ``<stem>.regressions.json`` next to the
+        output."""
         from repro.obs.sentinel import check_series, write_regressions
 
         try:
-            entries = self.timeline.record_bench(path)
+            entries = self.repository.record_bench(path)
         except (OSError, ValueError) as error:
             logger.warning(
                 "timeline: could not record %s: %s", path, error
             )
             return {}
-        self.obs.metrics.counter(
-            "service_timeline_appends_total", volatile=True,
-            source="bench",
-        ).inc()
+        self._count_appends("bench", 1)
         reports = []
         for series_key in sorted({e.series_key for e in entries}):
-            report = check_series(self.timeline, series_key)
+            report = check_series(self.repository, series_key)
             if report is not None:
                 reports.append(report)
         regressions_path = path.with_name(

@@ -10,7 +10,8 @@ from repro.obs.sentinel import (
     worst_status,
     write_regressions,
 )
-from repro.obs.timeline import TimelineEntry, TimelineStore
+from repro.obs.timeline import TimelineEntry
+from repro.service.repository import RunRepository
 
 
 def _entry(entry_id="e0", recorded_at=1000.0, **overrides):
@@ -162,7 +163,7 @@ def test_fidelity_worsening_flips():
 
 
 def test_check_series_needs_two_points(tmp_path):
-    with TimelineStore(tmp_path) as store:
+    with RunRepository(tmp_path) as store:
         assert check_series(store, "missing") is None
 
 
@@ -183,7 +184,7 @@ def test_check_store_judges_latest_pair(tmp_path):
         ],
     }
     (bench / "job-0.json").write_text(json.dumps(payload))
-    with TimelineStore(tmp_path) as store:
+    with RunRepository(tmp_path) as store:
         store.scan()
         reports = check_store(store)
     assert len(reports) == 1

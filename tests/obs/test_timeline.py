@@ -1,16 +1,13 @@
-"""The telemetry timeline store: extraction, trajectories, and the
-pure-cache contract."""
+"""The telemetry timeline: extraction, trajectories as the run catalog
+stores them, and the pure-cache contract for its entries (pinned for
+the whole catalog in ``tests/service/test_repository.py``)."""
 
 import json
-import sqlite3
 
 import pytest
 
-from repro.obs.timeline import (
-    TIMELINE_FILENAME,
-    TimelineStore,
-    entries_from_bench_file,
-)
+from repro.obs.timeline import entries_from_bench_file
+from repro.service.repository import RunRepository
 
 
 def _bench_payload(**overrides):
@@ -95,7 +92,7 @@ def test_unstamped_positions_never_outrank_stamped_ones(tmp_path):
     path.write_text(json.dumps(payload))
     entries = entries_from_bench_file(path)
     assert entries[0].recorded_at <= entries[1].recorded_at
-    with TimelineStore(tmp_path / "root", bench_paths=[path]) as store:
+    with RunRepository(tmp_path / "root", bench_paths=[path]) as store:
         store.scan()
         (key,) = store.series_keys()
         assert [e.position for e in store.trajectory(key)] == [0, 1]
@@ -114,13 +111,13 @@ def test_scan_indexes_root_bench_products(tmp_path, bench_file):
     (bench_dir / "job-0.json").write_text(json.dumps(_bench_payload()))
     # Sentinel verdicts next to bench output are never timeline input.
     (bench_dir / "job-0.regressions.json").write_text("{}")
-    with TimelineStore(
+    with RunRepository(
         tmp_path / "root", bench_paths=[bench_file]
     ) as store:
         report = store.scan()
         assert report.benches == 2
         assert report.entries == 4
-        assert report.skipped == []
+        assert report.skipped_benches == []
         counts = store.counts()
         assert counts["bench_entries"] == 4
         assert counts["run_entries"] == 0
@@ -132,7 +129,7 @@ def test_scan_drops_rows_for_vanished_sources(tmp_path):
     bench_dir.mkdir(parents=True)
     product = bench_dir / "job-0.json"
     product.write_text(json.dumps(_bench_payload()))
-    with TimelineStore(root) as store:
+    with RunRepository(root) as store:
         assert store.scan().entries == 2
         product.unlink()
         assert store.scan().entries == 0
@@ -140,7 +137,7 @@ def test_scan_drops_rows_for_vanished_sources(tmp_path):
 
 
 def test_trajectory_orders_by_recorded_at(tmp_path, bench_file):
-    with TimelineStore(tmp_path / "root", bench_paths=[bench_file]) as s:
+    with RunRepository(tmp_path / "root", bench_paths=[bench_file]) as s:
         s.scan()
         (key,) = s.series_keys()
         trajectory = s.trajectory(key)
@@ -148,7 +145,7 @@ def test_trajectory_orders_by_recorded_at(tmp_path, bench_file):
 
 
 def test_record_bench_is_incremental(tmp_path, bench_file):
-    with TimelineStore(tmp_path / "root") as store:
+    with RunRepository(tmp_path / "root") as store:
         assert store.counts()["entries"] == 0
         entries = store.record_bench(bench_file)
         assert len(entries) == 2
@@ -159,7 +156,7 @@ def test_record_bench_is_incremental(tmp_path, bench_file):
 
 
 def test_entries_filters(tmp_path, bench_file):
-    with TimelineStore(tmp_path / "root", bench_paths=[bench_file]) as s:
+    with RunRepository(tmp_path / "root", bench_paths=[bench_file]) as s:
         s.scan()
         assert len(s.entries(source="bench")) == 2
         assert s.entries(source="run") == []
@@ -171,7 +168,7 @@ def test_pure_cache_rebuild_is_query_identical(tmp_path, bench_file):
     """Delete the SQLite file, rebuild, identical entries — the
     tentpole contract."""
     root = tmp_path / "root"
-    with TimelineStore(root, bench_paths=[bench_file]) as store:
+    with RunRepository(root, bench_paths=[bench_file]) as store:
         store.scan()
         before = [e.as_dict() for e in store.entries()]
         assert before
@@ -180,37 +177,8 @@ def test_pure_cache_rebuild_is_query_identical(tmp_path, bench_file):
         assert [e.as_dict() for e in store.entries()] == before
 
 
-def test_corrupt_store_recovers(tmp_path, bench_file):
-    root = tmp_path / "root"
-    with TimelineStore(root, bench_paths=[bench_file]) as store:
-        store.scan()
-        before = [e.as_dict() for e in store.entries()]
-        store.close()
-    (root / TIMELINE_FILENAME).write_bytes(b"garbage, not sqlite")
-    with TimelineStore(root, bench_paths=[bench_file]) as store:
-        store.scan()
-        assert [e.as_dict() for e in store.entries()] == before
-
-
-def test_schema_bump_invalidates(tmp_path, bench_file):
-    root = tmp_path / "root"
-    with TimelineStore(root, bench_paths=[bench_file]) as store:
-        store.scan()
-        store.close()
-    db = root / TIMELINE_FILENAME
-    conn = sqlite3.connect(db)
-    conn.execute(
-        "UPDATE meta SET value = '999' WHERE key = 'timeline_schema'"
-    )
-    conn.commit()
-    conn.close()
-    with TimelineStore(root) as store:
-        # Old-schema rows were dropped with the store.
-        assert store.counts()["entries"] == 0
-
-
 def test_deleted_store_file_reconnects_midlife(tmp_path, bench_file):
-    with TimelineStore(tmp_path / "root") as store:
+    with RunRepository(tmp_path / "root") as store:
         store.record_bench(bench_file)
         store.db_path.unlink()
         # Queries keep working against a fresh (empty) store.

@@ -48,14 +48,12 @@ def populated_root(tmp_path_factory):
 def repo_root(populated_root, tmp_path):
     """A throwaway copy of the populated tree for tests that mutate
     it (corrupt dirs, index deletion, job execution).  Only the source
-    of truth is copied — index files or job queues other tests left in
-    the shared tree stay behind."""
+    of truth is copied — the index file or job queues other tests left
+    in the shared tree stay behind."""
     root = tmp_path / "repo"
     shutil.copytree(
         populated_root, root,
-        ignore=shutil.ignore_patterns(
-            ".repro-index.sqlite", ".repro-timeline.sqlite", "jobs",
-        ),
+        ignore=shutil.ignore_patterns(".repro-index.sqlite", "jobs"),
     )
     return root
 

@@ -40,7 +40,11 @@ def test_health(api, repository):
     status, ctype, payload = get(api, "/health")
     assert (status, ctype) == (200, "application/json")
     assert payload["status"] == "ok"
-    assert payload["index"] == repository.counts()
+    # The catalog's counts, split into the run index and the timeline.
+    assert payload["index"] == {"runs": 4, "series": 1}
+    assert {**payload["index"], **payload["timeline"]} == (
+        repository.counts()
+    )
     assert payload["scheduler"] is False
     assert "jobs" not in payload
 
@@ -189,4 +193,9 @@ def test_scan_route(tmp_path):
         api = ServiceAPI(repository)
         status, _, report = api.handle("POST", "/scan", None)
         assert status == 200
-        assert report == {"runs": 0, "series": 0, "skipped": []}
+        assert report == {
+            "runs": 0, "series": 0, "skipped": [],
+            "timeline": {
+                "entries": 0, "runs": 0, "benches": 0, "skipped": [],
+            },
+        }

@@ -12,7 +12,8 @@ from repro.service.cli import (
     build_service_parser,
     service_main,
 )
-from tests.service.conftest import SCENARIO, cli_config_args
+from repro.service.repository import INDEX_FILENAME, RunRepository
+from tests.service.conftest import SCENARIO, cli_config_args, run_ids
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,18 @@ def test_rebuild_index_subcommand(repo_root, capsys):
     ) == 0
     assert "rebuilt index" in capsys.readouterr().out
     assert index.exists()
+
+
+def test_rebuild_index_recovers_a_corrupt_index(repo_root, capsys):
+    """Garbage in the index file must not stop the command meant to
+    fix it: the rebuilt catalog lists every run."""
+    (repo_root / INDEX_FILENAME).write_bytes(b"garbage, not sqlite")
+    assert service_main(
+        ["runs", "rebuild-index", "--root", str(repo_root)]
+    ) == 0
+    assert "rebuilt index" in capsys.readouterr().out
+    with RunRepository(repo_root) as catalog:
+        assert [r.run_id for r in catalog.runs()] == run_ids(repo_root)
 
 
 def test_jobs_submit_run_now_and_list(tmp_path, capsys):

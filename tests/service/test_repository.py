@@ -1,17 +1,23 @@
-"""Repository-layer tests: the SQLite index is a pure cache.
+"""Repository-layer tests: the SQLite catalog is a pure cache.
 
-The load-bearing invariant: deleting the index and re-scanning the
-same tree must answer every query identically, and corrupt or partial
-run directories are skipped with a warning, never raised.
+The load-bearing invariant: deleting, corrupting or replacing the index
+and re-scanning the same tree must answer every query — runs, series
+and telemetry entries — identically, and corrupt or partial run
+directories are skipped with a warning, never raised.
 """
 
 import json
 import logging
+import os
+import shutil
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.service.errors import UnknownRunError, UnknownSeriesError
 from repro.service.repository import INDEX_FILENAME, RunRepository
+from tests.obs.test_timeline import _bench_payload
 from tests.service.conftest import (
     DOMAINS,
     SCENARIO,
@@ -22,13 +28,19 @@ from tests.service.conftest import (
 
 @pytest.fixture()
 def repository(repo_root):
+    """A scanned catalog over the fixture tree plus one bench product,
+    so it holds run, series and both kinds of telemetry entry."""
+    (repo_root / "bench").mkdir()
+    (repo_root / "bench" / "job-0.json").write_text(
+        json.dumps(_bench_payload())
+    )
     with RunRepository(repo_root) as repository:
         repository.scan()
         yield repository
 
 
 def _snapshot(repository):
-    """Every query answer the index can give, as plain data."""
+    """Every query answer the catalog can give, as plain data."""
     return {
         "runs": [r.as_dict() for r in repository.runs()],
         "by_scenario": [
@@ -38,14 +50,21 @@ def _snapshot(repository):
             r.as_dict() for r in repository.runs(experiment="figure10")
         ],
         "series": [s.as_dict() for s in repository.series()],
+        "entries": [e.as_dict() for e in repository.entries()],
+        "series_keys": repository.series_keys(),
         "counts": repository.counts(),
     }
 
 
 def test_scan_indexes_the_whole_tree(repository):
     counts = repository.counts()
-    # 2 single-shot runs + 2 epoch runs from the 2-epoch series.
-    assert counts == {"runs": 4, "series": 1}
+    # 2 single-shot runs + 2 epoch runs from the 2-epoch series, one
+    # telemetry entry and trajectory each, plus the bench file's
+    # two-point trajectory.
+    assert counts == {
+        "runs": 4, "series": 1, "entries": 6, "run_entries": 4,
+        "bench_entries": 2, "series_keys": 5,
+    }
 
 
 def test_queries_filter_and_order(repository):
@@ -90,18 +109,77 @@ def test_rebuild_is_lossless(repository):
     assert _snapshot(repository) == before
 
 
+def _delete(repository):
+    repository.db_path.unlink()
+
+
+def _swap_in(repository, write):
+    """Replace the index file as another process would: ``write`` a
+    spare file, then rename it over the index."""
+    spare = repository.db_path.with_name("spare.sqlite")
+    write(spare)
+    os.replace(spare, repository.db_path)
+
+
+def _garbage(repository):
+    _swap_in(repository, lambda spare: spare.write_bytes(b"not sqlite"))
+
+
+def _rebuilt_by_a_second_handle(repository):
+    with RunRepository(repository.root) as other:
+        other.rebuild()
+
+
+def _older_schema(repository):
+    def write(spare):
+        shutil.copy(repository.db_path, spare)
+        with closing(sqlite3.connect(spare)) as conn:
+            conn.execute(
+                "UPDATE meta SET value = '1' WHERE key = 'index_schema'"
+            )
+            conn.commit()
+
+    _swap_in(repository, write)
+
+
+def _check_live_handle_survives(repository, spoil, kept):
+    """Spoil the index under a live handle; its reads answer empty (or
+    the other handle's rebuild when ``kept``), and its next scan, like
+    a fresh handle, answers every query as before."""
+    before = _snapshot(repository)
+    assert repository.db_path.name == INDEX_FILENAME
+    spoil(repository)
+    counts = repository.counts()
+    assert counts == (before["counts"] if kept else dict.fromkeys(counts, 0))
+    report = repository.scan()
+    assert (report.runs, report.series, report.benches) == (4, 1, 1)
+    assert repository.db_path.exists()
+    assert _snapshot(repository) == before
+    with RunRepository(repository.root) as fresh:
+        assert _snapshot(fresh) == before
+
+
 def test_index_deleted_underneath_a_live_repository(repository):
     """The index file can vanish while the daemon holds a connection
     (it is only a cache) — the next scan must recreate it instead of
     failing on SQLite's read-only-database error."""
-    before = _snapshot(repository)
-    index = repository.db_path
-    assert index.name == INDEX_FILENAME
-    index.unlink()
-    report = repository.scan()
-    assert report.runs == 4
-    assert index.exists()
-    assert _snapshot(repository) == before
+    _check_live_handle_survives(repository, _delete, kept=False)
+
+
+@pytest.mark.parametrize("spoil, kept", [
+    pytest.param(_garbage, False, id="garbage"),
+    pytest.param(_rebuilt_by_a_second_handle, True, id="replaced"),
+    pytest.param(_older_schema, False, id="older-schema"),
+])
+def test_index_replaced_underneath_a_live_repository(
+    repository, spoil, kept
+):
+    """Another process can rename a different file over the index while
+    the daemon holds a connection.  The live handle follows the file
+    now at its path — dropping a corrupt or older-schema one, serving
+    another handle's rebuild — and its next scan writes there instead
+    of failing on SQLite's read-only-database error."""
+    _check_live_handle_survives(repository, spoil, kept)
 
 
 def test_fresh_repository_over_existing_index(repo_root):
@@ -134,10 +212,12 @@ def test_corrupt_dirs_are_skipped_with_a_warning(repository, caplog):
     assert len(skipped_paths) == 3
     assert report.runs == 4  # the healthy tree is fully indexed
     assert any("skipping run dir" in r.message for r in caplog.records)
-    # The skipped dirs never became queryable rows.
+    # The skipped dirs never became queryable rows or entries.
     indexed = {r.run_id for r in repository.runs()}
     assert "run-badjson000000" not in indexed
     assert "run-mismatched00" not in indexed
+    assert len(repository.entries(source="run")) == 4
+    assert report.as_dict()["timeline"]["skipped"] == report.skipped
 
 
 def test_get_run_falls_back_to_disk(repo_root):

@@ -1,13 +1,15 @@
 """The watchtower integration surface of the service plane: retry
-policy, request-id propagation, the access log, and the /timeline +
-/dashboard routes."""
+policy, request-id propagation, the access log, the /timeline +
+/dashboard routes, and the sentinel pass after bench jobs."""
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
 from repro.obs.events import EventSink
-from repro.obs.timeline import TimelineStore
+from repro.service import jobs
 from repro.service.api import ServiceAPI
 from repro.service.jobs import JobRecord, Scheduler
 from repro.service.repository import RunRepository
@@ -22,17 +24,11 @@ def repository(tmp_path):
         yield repository
 
 
-@pytest.fixture()
-def timeline(repository):
-    with TimelineStore(repository.root) as timeline:
-        yield timeline
-
-
-def _seed_bench(timeline):
+def _seed_bench(repository):
     """One recorded two-point bench trajectory."""
-    path = timeline.root / "BENCH_seeded.json"
+    path = repository.root / "BENCH_seeded.json"
     path.write_text(json.dumps(_bench_payload()))
-    return timeline.record_bench(path)
+    return repository.record_bench(path)
 
 
 # -- retry policy ------------------------------------------------------
@@ -130,8 +126,8 @@ def test_submit_over_http_propagates_the_request_id(repository):
     assert api.scheduler.get(payload["job_id"]).request_id == "req-abc"
 
 
-def test_run_job_stamps_provenance_into_timings(repository, timeline):
-    scheduler = Scheduler(repository, timeline=timeline)
+def test_run_job_stamps_provenance_into_timings(repository):
+    scheduler = Scheduler(repository)
     spec = tiny_spec(domains=120, wan_rounds=1)
     scheduler.submit(spec, request_id="req-prov")
     assert scheduler.run_pending() == 1
@@ -147,8 +143,8 @@ def test_run_job_stamps_provenance_into_timings(repository, timeline):
     # the CLI path is the service plane's acceptance invariant.
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert "job" not in manifest.get("timings", {})
-    # And the scheduler auto-appended the run to the timeline.
-    (entry,) = timeline.entries(source="run")
+    # And ingesting the run appended it to the timeline.
+    (entry,) = repository.entries(source="run")
     assert entry.extra["run_id"] == record.outcome["run_id"]
 
 
@@ -188,17 +184,9 @@ def test_access_log_tee_is_valid_ndjson(repository, tmp_path):
 # -- /timeline and /dashboard ------------------------------------------
 
 
-def test_timeline_routes_503_without_a_store(repository):
+def test_timeline_route_serves_filtered_entries(repository):
+    _seed_bench(repository)
     api = ServiceAPI(repository)
-    for path in ("/timeline", "/timeline/series", "/dashboard"):
-        status, _, payload = api.handle("GET", path, None)
-        assert status == 503
-        assert "timeline" in payload["error"]
-
-
-def test_timeline_route_serves_filtered_entries(repository, timeline):
-    _seed_bench(timeline)
-    api = ServiceAPI(repository, timeline=timeline)
     status, _, payload = api.handle("GET", "/timeline", None)
     assert status == 200
     assert len(payload["entries"]) == 2
@@ -219,9 +207,9 @@ def test_timeline_route_serves_filtered_entries(repository, timeline):
     assert status == 404
 
 
-def test_dashboard_renders_html_and_text(repository, timeline):
-    _seed_bench(timeline)
-    api = ServiceAPI(repository, timeline=timeline)
+def test_dashboard_renders_html_and_text(repository):
+    _seed_bench(repository)
+    api = ServiceAPI(repository)
     status, content_type, html = api.handle("GET", "/dashboard", None)
     assert status == 200
     assert content_type == "text/html"
@@ -234,11 +222,9 @@ def test_dashboard_renders_html_and_text(repository, timeline):
     assert "telemetry timeline" in text
 
 
-def test_health_carries_versions_and_timeline_counts(
-    repository, timeline
-):
-    _seed_bench(timeline)
-    api = ServiceAPI(repository, timeline=timeline)
+def test_health_carries_versions_and_timeline_counts(repository):
+    _seed_bench(repository)
+    api = ServiceAPI(repository)
     status, _, payload = api.handle("GET", "/health", None)
     assert status == 200
     assert isinstance(payload["schema_version"], int)
@@ -248,25 +234,23 @@ def test_health_carries_versions_and_timeline_counts(
     assert payload["timeline"]["bench_entries"] == 2
 
 
-def test_scan_route_rescans_the_timeline_too(repository, timeline):
-    api = ServiceAPI(repository, timeline=timeline)
-    (timeline.root / "bench").mkdir(exist_ok=True)
-    (timeline.root / "bench" / "job-x-000.json").write_text(
+def test_scan_route_rescans_the_timeline_too(repository):
+    api = ServiceAPI(repository)
+    (repository.root / "bench").mkdir(exist_ok=True)
+    (repository.root / "bench" / "job-x-000.json").write_text(
         json.dumps(_bench_payload())
     )
     status, _, payload = api.handle("POST", "/scan", None)
     assert status == 200
     assert payload["timeline"]["entries"] == 2
-    assert timeline.counts()["bench_entries"] == 2
+    assert repository.counts()["bench_entries"] == 2
 
 
-def test_metrics_expose_queue_and_timeline_gauges(
-    repository, timeline
-):
-    _seed_bench(timeline)
-    scheduler = Scheduler(repository, timeline=timeline)
+def test_metrics_expose_queue_and_timeline_gauges(repository):
+    _seed_bench(repository)
+    scheduler = Scheduler(repository)
     scheduler.submit(tiny_spec())
-    api = ServiceAPI(repository, scheduler=scheduler, timeline=timeline)
+    api = ServiceAPI(repository, scheduler=scheduler)
     # Latency histograms record after a response renders, so the
     # first scrape only sees earlier requests.
     api.handle("GET", "/health", None)
@@ -277,3 +261,28 @@ def test_metrics_expose_queue_and_timeline_gauges(
     assert 'service_timeline_entries{source="bench"} 2' in exposition
     assert 'service_timeline_entries{source="run"} 0' in exposition
     assert "service_request_seconds_bucket" in exposition
+
+
+# -- bench jobs --------------------------------------------------------
+
+
+def test_bench_job_runs_the_sentinel(repository, monkeypatch):
+    """Every scheduler over the catalog — the daemon's and ``repro jobs
+    submit --run-now --root``'s alike — records a bench job's
+    trajectory and judges it."""
+
+    def profile(command, **kwargs):
+        out = Path(command[command.index("--out") + 1])
+        out.write_text(json.dumps(_bench_payload()))
+        return subprocess.CompletedProcess(command, 0, "", "")
+
+    monkeypatch.setattr(jobs.subprocess, "run", profile)
+    scheduler = Scheduler(repository)
+    record = scheduler.execute(scheduler.submit(tiny_spec(kind="bench")))
+    assert record.status == "completed", record.error
+    verdicts = json.loads(
+        Path(record.outcome["regressions_path"]).read_text()
+    )
+    assert record.outcome["regression_status"] == verdicts["status"]
+    assert len(verdicts["reports"]) == 1
+    assert repository.counts()["bench_entries"] == 2
