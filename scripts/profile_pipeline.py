@@ -86,13 +86,9 @@ from repro.artifacts import ArtifactStore
 from repro.artifacts.keys import code_fingerprint
 from repro.capture.generator import CaptureConfig
 from repro.experiments.context import ExperimentContext
-from repro.flags import (
-    set_chunk_size,
-    set_columnar_enabled,
-    set_streaming_enabled,
-)
+from repro.flags import set_chunk_size, set_columnar_enabled
 from repro.obs import Observability
-from repro.sim import fork_pool_available, set_rng_observer
+from repro.sim import set_rng_observer
 from repro.world import World, WorldConfig
 
 #: A stage must slow down by more than this (vs the committed bench)
@@ -229,19 +225,15 @@ def run_once(
     digests (and the run's :class:`~repro.obs.Observability` plane).
 
     ``columnar=False`` forces the scalar reference paths and
-    ``streaming=False`` the batch data plane for the whole run —
-    outputs must be bit-identical any way around.  A live event sink
-    forces batch regardless (forked chunk/shard workers cannot stream
-    probe events), which is what keeps the observability-smoke CI job
-    on the byte-identical batch paths."""
+    ``streaming=False`` the batch data plane (a materialized world and
+    the full capture trace) for the whole run — outputs, and the probe
+    event log, must be bit-identical any way around.  Whether a
+    deferred world's dataset build forks is the builder's decision
+    (:meth:`DatasetBuilder.can_shard`); the capture emits no events."""
     obs = Observability.collecting(events=collect_events)
     tracer = obs.tracer
     previous_observer = obs.install_rng_counter()
     previous_columnar = set_columnar_enabled(columnar)
-    previous_streaming = set_streaming_enabled(streaming)
-    use_stream = (
-        streaming and fork_pool_available() and not collect_events
-    )
     config = WorldConfig(
         seed=seed, num_domains=domains,
         capture=capture if capture is not None else CaptureConfig(),
@@ -253,7 +245,7 @@ def run_once(
 
     try:
         with stage("world"):
-            world = World(config, defer_tenants=use_stream)
+            world = World(config, defer_tenants=streaming)
 
         with stage("dataset"):
             builder = DatasetBuilder(world, obs=obs)
@@ -263,7 +255,7 @@ def run_once(
             # The streaming summary and the batch trace answer the same
             # digest probes (len / total_bytes) with identical values;
             # only the peak memory differs.
-            if use_stream:
+            if streaming:
                 trace = world.capture_summary(workers=workers, obs=obs)
             else:
                 trace = world.capture_trace()
@@ -278,7 +270,6 @@ def run_once(
         with stage("traceroute"):
             isp = wan.isp_diversity()
     finally:
-        set_streaming_enabled(previous_streaming)
         set_columnar_enabled(previous_columnar)
         set_rng_observer(previous_observer)
 
@@ -300,7 +291,7 @@ def run_once(
         "campaigns": tracer.seconds_by_name("campaign"),
         "digests": digests,
         "rss_kib": {"stages": rss, "high_water_kib": high_water},
-        "streaming": use_stream,
+        "streaming": streaming,
         "obs": obs,
     }
 
@@ -538,9 +529,9 @@ def main() -> int:
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None,
-        help="domain ranks materialized per streaming chunk "
-             "(default: REPRO_CHUNK_SIZE or the built-in default; "
-             "output bytes are chunk-size-invariant)",
+        help="domain ranks a deferred world deploys per forked chunk "
+             "(default: the built-in default; output bytes are "
+             "chunk-size-invariant)",
     )
     parser.add_argument(
         "--no-streaming", action="store_true",

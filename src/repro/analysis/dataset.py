@@ -128,7 +128,7 @@ class DatasetBuilder:
         self.scenario = scenario
         #: Observability plane: ``dataset-step`` spans around the four
         #: pipeline phases, campaign spans via the engine, and — when
-        #: the sink is live — probe-level events that the sharded build
+        #: the sink is live — probe-level events that the forked build
         #: merges back phase-major (see :mod:`repro.analysis.shards`),
         #: byte-identically to a sequential build.
         self.obs = obs
@@ -516,16 +516,18 @@ class DatasetBuilder:
     # -- putting it together -----------------------------------------------------------
 
     def can_shard(self, workers: int) -> bool:
-        """Whether a ``workers``-way sharded build is available.
+        """Whether the build runs in forked rank chunks.
 
-        Sharding requires fork-based pools and full published-range
+        Forking requires fork-based pools and full published-range
         coverage: below 1.0 a subdomain's cloud classification can
         depend on *which* rotated answer a query index returns, so the
         filter's control flow would no longer be counter-independent
-        and the shard merge could not replay it.
+        and the merge could not replay it.  A deferred world forks even
+        at ``workers <= 1`` (isolation, not parallelism, is what lets it
+        release tenants); a batch world only gains from ``workers > 1``.
         """
         return (
-            workers > 1
+            (workers > 1 or self.world.pending_tenants)
             and len(self.world.alexa.sites) > 1
             and self.range_coverage >= 1.0
             and fork_pool_available()
@@ -534,34 +536,29 @@ class DatasetBuilder:
     def build(self, workers: int = 0) -> AlexaSubdomainsDataset:
         """Run the full §2.1 pipeline.
 
-        With ``workers > 1`` (where :meth:`can_shard` allows) the ranked
-        domain list is partitioned into contiguous shards built in
-        forked worker processes and merged back in rank order; the
-        result — records, discovered map, NS addresses, query counters,
-        resolver caches — is bit-identical to ``workers=0``.
-
-        A world built with ``defer_tenants=True`` takes the
-        constant-memory chunked path instead (deploy → measure →
-        release, one rank window at a time); when that path is
-        ineligible — streaming switched off, no fork support, partial
-        range coverage, an outage scenario, or a live event sink — the
-        world catches up to a batch-equivalent state and the normal
-        paths run.
+        Where :meth:`can_shard` allows, the ranked domain list is cut
+        into contiguous rank chunks built in forked worker processes and
+        merged back in rank order (:func:`repro.analysis.shards.build_forked`);
+        the result is bit-identical to ``workers=0``.  A world built with
+        ``defer_tenants=True`` is deployed, measured and released chunk
+        by chunk there, bounding memory.  Otherwise the build runs in
+        process, and a deferred world first deploys all its tenants
+        without releasing any.
         """
-        if getattr(self.world, "pending_tenants", False):
-            from repro.analysis.streambuild import (
-                build_chunked,
-                chunked_build_eligible,
+        world = self.world
+        if world._released_tenants:
+            raise RuntimeError(
+                "a world that released tenants cannot be measured again"
             )
-
-            if chunked_build_eligible(self):
-                return build_chunked(self, workers)
-            self.world.catch_up_tenants()
         if self.can_shard(workers):
-            from repro.analysis.shards import build_sharded
+            from repro.analysis.shards import build_forked
 
-            return build_sharded(self, workers)
+            return build_forked(self, workers)
         tracer = self.obs.tracer
+        if world.pending_tenants:
+            with tracer.span("deploy", category="dataset-step"):
+                world.ensure_deployed_through(len(world.alexa.sites))
+                world.finalize_tenants()
         with tracer.span("enumerate", category="dataset-step"):
             discovered, total = self.discover_subdomains()
         with tracer.span("filter", category="dataset-step"):

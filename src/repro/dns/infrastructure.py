@@ -268,10 +268,11 @@ class DnsInfrastructure:
         """Dynamic names whose rotation can interleave across build
         chunks.
 
-        The chunked §2.1 build (:mod:`repro.analysis.streambuild`)
-        measures one rank window at a time, so — unlike the all-at-once
-        shard fan-out — queries from *future* windows have not happened
-        yet when a window's digs run.  A dynamic name is safe to rotate
+        A deferred world's §2.1 build
+        (:func:`repro.analysis.shards.build_forked`) measures one rank
+        window at a time, so — unlike a batch world's all-at-once
+        fan-out — queries from *future* windows have not happened yet
+        when a window's digs run.  A dynamic name is safe to rotate
         window-locally only when every alias pointing at it lives in
         exactly one of the window's own tenant zones; then the name's
         whole query history belongs to that window and the local

@@ -11,16 +11,11 @@ Precedence: a programmatic override installed via
 :func:`set_columnar_enabled` wins; otherwise the ``REPRO_COLUMNAR``
 environment variable (anything but ``"0"`` enables); default on.
 
-The streaming data plane (bounded-memory chunked world/dataset builds
-and one-pass capture analysis) follows the same discipline with its own
-pair of knobs: :func:`set_streaming_enabled` / ``REPRO_STREAMING``
-(default on), plus a chunk-size knob (:func:`set_chunk_size` /
-``REPRO_CHUNK_SIZE``) bounding how many domain ranks are materialized
-at once.  Like the columnar switch, the streaming switch only gates
-*eligibility*: individual call sites fall back to the batch path
-whenever a consumer needs state streaming releases (an outage scenario,
-a live probe-event sink, a platform without ``fork``) — see
-``docs/PERFORMANCE.md`` for the fallback matrix.
+The streaming data plane's one knob is the chunk size
+(:func:`set_chunk_size`): how many domain ranks a deferred world's
+forked dataset build deploys per chunk.  Whether a build forks at all
+is the builder's decision (:meth:`DatasetBuilder.can_shard`), not a
+switch — see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -29,11 +24,10 @@ import os
 from typing import Optional
 
 _FORCED: Optional[bool] = None
-_FORCED_STREAMING: Optional[bool] = None
 _FORCED_CHUNK: Optional[int] = None
 
-#: Ranks materialized per streaming chunk when ``REPRO_CHUNK_SIZE`` is
-#: unset.  Sized so a chunk's tenant state (zones, records, plans,
+#: Ranks materialized per streaming chunk unless :func:`set_chunk_size`
+#: overrides it.  Sized so a chunk's tenant state (zones, records, plans,
 #: instances) stays tens of MB while the per-chunk fork/merge overhead
 #: stays well under a percent of the build.
 DEFAULT_CHUNK_SIZE = 6_250
@@ -61,27 +55,8 @@ def columnar_runtime_enabled() -> bool:
     return os.environ.get("REPRO_COLUMNAR", "1") != "0"
 
 
-def set_streaming_enabled(value: Optional[bool]) -> Optional[bool]:
-    """Force the streaming data plane on/off (``None`` restores env
-    control).  Returns the previous override, mirroring
-    :func:`set_columnar_enabled`."""
-    global _FORCED_STREAMING
-    previous = _FORCED_STREAMING
-    _FORCED_STREAMING = value
-    return previous
-
-
-def streaming_runtime_enabled() -> bool:
-    """Whether streaming paths are *eligible*.  Call sites still fall
-    back to batch when a consumer needs batch-only state (scenario
-    drills, live event sinks, fork-less platforms)."""
-    if _FORCED_STREAMING is not None:
-        return _FORCED_STREAMING
-    return os.environ.get("REPRO_STREAMING", "1") != "0"
-
-
 def set_chunk_size(value: Optional[int]) -> Optional[int]:
-    """Force the streaming chunk size (``None`` restores env control).
+    """Force the streaming chunk size (``None`` restores the default).
 
     Returns the previous override.  The chunk size bounds how many
     domain ranks a streaming build materializes at once; output bytes
@@ -98,15 +73,5 @@ def set_chunk_size(value: Optional[int]) -> Optional[int]:
 
 
 def streaming_chunk_size() -> int:
-    """The active streaming chunk size (override, env, or default)."""
-    if _FORCED_CHUNK is not None:
-        return _FORCED_CHUNK
-    raw = os.environ.get("REPRO_CHUNK_SIZE")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-    return DEFAULT_CHUNK_SIZE
+    """The active streaming chunk size (override or default)."""
+    return _FORCED_CHUNK or DEFAULT_CHUNK_SIZE

@@ -92,12 +92,13 @@ class World:
 
     With ``defer_tenants=True`` only the substrate — clouds, DNS, the
     ranking, the plan and deploy machinery — is built up front; the
-    tenant population is deployed incrementally in rank order through
-    :meth:`ensure_deployed_through` / :meth:`release_window` /
-    :meth:`finalize_tenants` (the streaming chunked build), or all at
-    once through :meth:`catch_up_tenants` (the batch fallback).  Every
-    RNG substream is consumed in the same within-stream order either
-    way, so the two construction modes are bit-identical.
+    dataset build deploys the tenant population in rank order through
+    :meth:`ensure_deployed_through` and :meth:`finalize_tenants`, either
+    releasing each forked chunk group with :meth:`release_window`
+    (:func:`repro.analysis.shards.build_forked`) or, in process, all at
+    once without releasing any.  Every RNG substream is consumed in the
+    same within-stream order either way, so the two construction modes
+    are bit-identical.
     """
 
     def __init__(
@@ -209,7 +210,7 @@ class World:
             for _ in range(count)
         ]
 
-    # -- incremental tenant population (chunked builds) -----------------------
+    # -- incremental tenant population (deferred worlds) ----------------------
 
     @property
     def pending_tenants(self) -> bool:
@@ -320,8 +321,8 @@ class World:
 
         After this the world answers every query a batch-built one
         does; a releasing build's :meth:`traffic_domains` returns the
-        list accumulated during :meth:`release_window`, a catch-up
-        build keeps the batch code paths.
+        list accumulated during :meth:`release_window`, a world that
+        released nothing keeps the batch code paths.
         """
         if self._finalized:
             raise RuntimeError("tenants already finalized")
@@ -349,7 +350,7 @@ class World:
                 [d.plan.domain for d in tail]
             )
         else:
-            # Catch-up: expose the batch-shaped views so every
+            # Nothing released: expose the batch-shaped views so every
             # downstream consumer takes the batch code paths.
             self.plans = [d.plan for d in self._deploy_window]
             self.deployed = self._deploy_window + tail
@@ -360,21 +361,6 @@ class World:
         self.customers = CustomerModel.from_mapping(mapping)
         self._build_wan_substrate()
         self._finalized = True
-
-    def catch_up_tenants(self) -> None:
-        """Deploy every remaining tenant at once, batch-equivalently.
-
-        The fallback when a deferred world reaches a consumer that
-        cannot run the chunked build (live event sink, partial range
-        coverage, no fork support): the result is indistinguishable
-        from a world built with ``defer_tenants=False``.
-        """
-        if not self.pending_tenants:
-            return
-        if self._released_tenants:
-            raise RuntimeError("cannot catch up after tenant releases")
-        self.ensure_deployed_through(len(self.alexa.sites))
-        self.finalize_tenants()
 
     # -- introspection ---------------------------------------------------------
 

@@ -2,16 +2,18 @@
 the batch build — records, NS addresses, rotation counters, resolver
 query counts, traffic domains, and the downstream capture — across
 worker counts and chunk sizes, while actually releasing tenant state.
-Also covers the eligibility/fallback matrix documented in
-docs/PERFORMANCE.md."""
+Also covers the conditions a deferred world builds under: forkable
+ones (outage drills, live event sinks) release tenants, the in-process
+ones (partial range coverage, no fork) deploy everything first, and
+both match the batch world."""
 
 import os
 
 import pytest
 
 from repro import flags
+from repro.analysis import dataset as dataset_module
 from repro.analysis.dataset import DatasetBuilder
-from repro.analysis.streambuild import chunked_build_eligible
 from repro.faults.scenarios import OutageScenario
 from repro.obs import Observability
 from repro.world import World, WorldConfig
@@ -155,58 +157,67 @@ class TestChunkedCapture:
         )
 
 
-class TestFallbackMatrix:
-    def _deferred_world(self):
-        return World(
-            WorldConfig(seed=SEED, num_domains=150), defer_tenants=True
+#: Build conditions a deferred world must hold batch parity under, and
+#: whether the build forks (and so releases tenants) under each.
+CONDITIONS = {
+    "scenario": True,
+    "sink": True,
+    "range-0.5": False,
+    "no-fork": False,
+}
+
+
+def _condition_build(condition, deferred, workers, chunk):
+    obs = Observability.collecting(events=condition == "sink")
+    builder_kwargs = {}
+    if condition == "scenario":
+        builder_kwargs["scenario"] = OutageScenario(name="drill")
+    elif condition == "range-0.5":
+        builder_kwargs["range_coverage"] = 0.5
+    previous = flags.set_chunk_size(chunk)
+    try:
+        world = World(
+            WorldConfig(seed=SEED, num_domains=DOMAINS),
+            defer_tenants=deferred,
         )
-
-    def test_eligible_by_default(self):
-        if not hasattr(os, "fork"):
-            pytest.skip("fork required for the eligible case")
-        builder = DatasetBuilder(self._deferred_world())
-        assert chunked_build_eligible(builder)
-
-    def test_streaming_flag_declines(self):
-        builder = DatasetBuilder(self._deferred_world())
-        previous = flags.set_streaming_enabled(False)
-        try:
-            assert not chunked_build_eligible(builder)
-        finally:
-            flags.set_streaming_enabled(previous)
-
-    def test_live_event_sink_declines(self):
-        builder = DatasetBuilder(
-            self._deferred_world(),
-            obs=Observability.collecting(events=True),
+        dataset = DatasetBuilder(world, obs=obs, **builder_kwargs).build(
+            workers
         )
-        assert not chunked_build_eligible(builder)
+    finally:
+        flags.set_chunk_size(previous)
+    view = {
+        "dataset": _dataset_view(dataset),
+        "counters": world.dns.dynamic_query_counts(),
+        "queries": {
+            name: r.query_count for name, r in world._resolvers.items()
+        },
+        "metrics": obs.metrics.deterministic_snapshot(),
+        "traffic": world.traffic_domains(),
+        "events": obs.events.to_ndjson(),
+    }
+    return world, view
 
-    def test_outage_scenario_declines(self):
-        builder = DatasetBuilder(
-            self._deferred_world(),
-            scenario=OutageScenario(name="drill"),
-        )
-        assert not chunked_build_eligible(builder)
 
-    def test_partial_range_coverage_declines(self):
-        builder = DatasetBuilder(
-            self._deferred_world(), range_coverage=0.5
-        )
-        assert not chunked_build_eligible(builder)
-
-    def test_ineligible_deferred_world_catches_up_to_batch(self):
-        batch_world = World(WorldConfig(seed=SEED, num_domains=150))
-        batch_dataset = DatasetBuilder(batch_world).build(0)
-        world = self._deferred_world()
-        previous = flags.set_streaming_enabled(False)
-        try:
-            dataset = DatasetBuilder(world).build(0)
-        finally:
-            flags.set_streaming_enabled(previous)
+class TestDeferredBuildConditions:
+    @pytest.mark.parametrize(
+        "workers,chunk", [(0, 80), (2, 73)], ids=["w0", "w2"]
+    )
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
+    def test_matches_batch(self, monkeypatch, condition, workers, chunk):
+        forks = CONDITIONS[condition]
+        if forks and not hasattr(os, "fork"):
+            pytest.skip("chunk workers need os.fork")
+        if condition == "no-fork":
+            monkeypatch.setattr(
+                dataset_module, "fork_pool_available", lambda: False
+            )
+        _, batch_view = _condition_build(condition, False, workers, chunk)
+        world, view = _condition_build(condition, True, workers, chunk)
         assert not world.pending_tenants
-        assert _dataset_view(dataset) == _dataset_view(batch_dataset)
-        assert world.traffic_domains() == batch_world.traffic_domains()
+        assert (not world.deployer.deployed) == forks
+        assert view == batch_view
+        if condition == "sink":
+            assert view["events"]
 
 
 class TestDeferredWorldGuards:
@@ -220,9 +231,22 @@ class TestDeferredWorldGuards:
         with pytest.raises(RuntimeError):
             world.traffic_domains()
         with pytest.raises(RuntimeError):
-            world.catch_up_tenants()  # released windows cannot catch up
+            # A released window cannot be rebuilt in process.
+            DatasetBuilder(world, range_coverage=0.5).build(0)
         world.finalize_tenants()
         assert world.traffic_domains() == world.traffic_domains()
+
+    def test_released_world_cannot_be_measured_again(self):
+        world = World(
+            WorldConfig(seed=SEED, num_domains=150), defer_tenants=True
+        )
+        world.ensure_deployed_through(150)
+        world.release_window()
+        world.finalize_tenants()
+        # Its released zones are gone: a second build would be wrong.
+        for workers in (0, 2):
+            with pytest.raises(RuntimeError):
+                DatasetBuilder(world).build(workers)
 
     def test_finalized_world_rejects_more_deploys(self):
         world = World(WorldConfig(seed=SEED, num_domains=150))
@@ -235,15 +259,10 @@ class TestChunkSizeFlag:
         with pytest.raises(ValueError):
             flags.set_chunk_size(0)
 
-    def test_env_fallback_and_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "777")
-        assert flags.streaming_chunk_size() == 777
+    def test_override_and_default(self):
         previous = flags.set_chunk_size(123)
         try:
             assert flags.streaming_chunk_size() == 123
         finally:
             flags.set_chunk_size(previous)
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "bogus")
-        assert (
-            flags.streaming_chunk_size() == flags.DEFAULT_CHUNK_SIZE
-        )
+        assert flags.streaming_chunk_size() == flags.DEFAULT_CHUNK_SIZE
