@@ -244,20 +244,14 @@ class DatasetBuilder:
         caches and advance rotation counters, so they cannot move),
         then classifies every answered address in one batched
         ``searchsorted`` per range table instead of two bisects per
-        address.  Unavailable (None) when the columnar plane is off or
-        NumPy is absent.
+        address.  Unavailable (None) when the columnar plane is off.
         """
         if not columnar_runtime_enabled():
             return None
-        try:
-            import numpy as np
+        import numpy as np
 
-            from repro.columnar.dataset import (
-                prefix_membership,
-                segment_any,
-            )
-        except ImportError:
-            return None
+        from repro.columnar.dataset import prefix_membership, segment_any
+
         vantage = self.world.dns_vantages()[0]
         resolver = self.world.resolver_for(vantage)
         recorder = self._recorder

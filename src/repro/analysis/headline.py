@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.clouduse import CloudUseAnalysis
-from repro.analysis.dataset import AlexaSubdomainsDataset
+from repro.analysis.patterns import PatternAnalysis
 from repro.analysis.regions import RegionAnalysis
 from repro.analysis.wan import WanAnalysis
 from repro.world import World
@@ -56,17 +56,18 @@ class HeadlineNumbers:
 
 def measure_headline(
     world: World,
-    dataset: AlexaSubdomainsDataset,
+    clouduse: CloudUseAnalysis,
+    patterns: PatternAnalysis,
+    regions: RegionAnalysis,
     wan: Optional[WanAnalysis] = None,
 ) -> HeadlineNumbers:
-    """Re-derive the abstract's numbers from measured data."""
-    from repro.analysis.patterns import PatternAnalysis
+    """Re-derive the abstract's numbers from measured data.
 
-    clouduse = CloudUseAnalysis(world, dataset)
+    Takes the analyses a run already holds, so their memoized patterns
+    and region usages are reused rather than derived again.
+    """
     report = clouduse.report()
-    patterns = PatternAnalysis(world, dataset)
     summary = patterns.feature_summary()
-    regions = RegionAnalysis(world, dataset)
     k3_gain = 0.0
     if wan is not None:
         frontier = wan.optimal_k_regions("latency")

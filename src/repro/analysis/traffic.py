@@ -4,7 +4,8 @@ Thin orchestration over :class:`repro.capture.BroAnalyzer`, shaping its
 aggregates into the paper's tables: per-cloud shares (Table 1),
 protocol mix with percentage columns (Table 2), top domains by volume
 (Table 5), content types with mean/max object sizes (Table 6), and the
-Figure 3 flow-count/size CDFs.
+Figure 3 flow-count/size CDFs.  Every table reads the analyzer's one
+aggregate of :attr:`TrafficAnalysis.trace`, built on the first query.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.capture.analyzer import BroAnalyzer
 from repro.capture.flow import Trace
+from repro.obs import NOOP, Observability
 from repro.report.cdf import CDF
 from repro.world import World
 
@@ -43,13 +45,21 @@ class TrafficReport:
 class TrafficAnalysis:
     """Runs the capture analyses."""
 
-    def __init__(self, world: World, trace: Optional[Trace] = None):
+    def __init__(
+        self,
+        world: World,
+        trace: Optional[Trace] = None,
+        obs: Observability = NOOP,
+    ):
         self.world = world
         self.trace = trace if trace is not None else world.capture_trace()
-        self.analyzer = BroAnalyzer({
-            "ec2": world.ec2.published_range_set(),
-            "azure": world.azure.published_range_set(),
-        })
+        self.analyzer = BroAnalyzer(
+            {
+                "ec2": world.ec2.published_range_set(),
+                "azure": world.azure.published_range_set(),
+            },
+            obs=obs,
+        )
 
     # -- Tables 1, 2 -----------------------------------------------------------
 

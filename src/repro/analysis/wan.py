@@ -96,6 +96,8 @@ class WanAnalysis:
         self._instances: Optional[Dict[str, List[Instance]]] = None
         self._latency: Optional[Dict[Tuple[str, str], List[float]]] = None
         self._throughput: Optional[Dict[Tuple[str, str], List[float]]] = None
+        #: Frontier rows per metric (:meth:`optimal_k_regions`).
+        self._frontiers: Dict[str, List[dict]] = {}
         #: Called once with (latency, throughput) right after a campaign
         #: fills the matrices; the artifact cache stores them from here.
         self.on_measured: Optional[Callable] = None
@@ -127,6 +129,7 @@ class WanAnalysis:
         no-op, so neither the fleet nor the world is ever built."""
         self._latency = dict(latency)
         self._throughput = dict(throughput)
+        self._frontiers = {}
 
     def replay_side_effects(self) -> None:
         """Reproduce the world mutations a real campaign would make.
@@ -213,10 +216,8 @@ class WanAnalysis:
 
         if not columnar_runtime_enabled():
             return False
-        try:
-            from repro.columnar.wan import measure_columnar
-        except ImportError:
-            return False
+        from repro.columnar.wan import measure_columnar
+
         measure_columnar(self)
         return True
 
@@ -354,32 +355,53 @@ class WanAnalysis:
 
         For each k, enumerate all size-k region subsets, score each by
         the mean over clients and rounds of the per-round best region
-        in the subset, and keep the best subset.
+        in the subset, and keep the best subset.  The frontier depends
+        only on the matrices, so it is computed once per metric (the
+        memo resets in :meth:`preload_measurements`); every call gets
+        its own copy of the rows.
         """
-        self._measure()
+        frontier = self._frontiers.get(metric)
+        if frontier is None:
+            self._measure()
+            with self.obs.tracer.span("frontier:" + metric, category="view"):
+                frontier = self._frontier(metric)
+            self._frontiers[metric] = frontier
+        return [dict(row) for row in frontier]
+
+    def _frontier(self, metric: str) -> List[dict]:
+        """Score every subset over one (clients x rounds, regions)
+        matrix.  ``fmin``/``fmax`` reduce exactly and give NaN only
+        where the whole subset is NaN, which is the loop's skip rule.
+        ``cumsum`` adds left to right, so its last element equals the
+        loop's ``total += v`` bit for bit; ``np.sum``'s pairwise order
+        does not.  The ``0.0 +`` is the loop's starting total, which
+        only matters when every value is -0.0.
+        """
+        import numpy as np
+
         table = self._latency if metric == "latency" else self._throughput
-        better = min if metric == "latency" else max
+        reduce = (np.fmin if metric == "latency" else np.fmax).reduce
+        rounds = self.config.rounds
+        regions = self.regions
+        # Rows are client-major, round-minor: the loop's summation order.
+        matrix = np.array(
+            [
+                [table[(client.name, region)][:rounds] for region in regions]
+                for client in self.clients
+            ],
+            dtype=np.float64,
+        ).reshape(len(self.clients), len(regions), rounds)
+        matrix = matrix.transpose(0, 2, 1).reshape(-1, len(regions))
         frontier = []
-        for k in range(1, len(self.regions) + 1):
+        for k in range(1, len(regions) + 1):
             best_score: Optional[float] = None
-            best_subset: Optional[Tuple[str, ...]] = None
-            for subset in combinations(self.regions, k):
-                total = 0.0
-                count = 0
-                for client in self.clients:
-                    for round_index in range(self.config.rounds):
-                        values = [
-                            table[(client.name, region)][round_index]
-                            for region in subset
-                        ]
-                        values = [v for v in values if v == v]
-                        if not values:
-                            continue
-                        total += better(values)
-                        count += 1
-                if count == 0:
+            best_subset: Optional[Tuple[int, ...]] = None
+            for subset in combinations(range(len(regions)), k):
+                best = reduce(matrix[:, subset], axis=1)
+                values = best[best == best]
+                if not len(values):
                     continue
-                score = total / count
+                score = (0.0 + float(np.cumsum(values)[-1])) / len(values)
                 if best_score is None or (
                     score < best_score
                     if metric == "latency"
@@ -390,7 +412,10 @@ class WanAnalysis:
             frontier.append({
                 "k": k,
                 "score": best_score,
-                "regions": best_subset,
+                "regions": (
+                    tuple(regions[i] for i in best_subset)
+                    if best_subset is not None else None
+                ),
             })
         return frontier
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.dataset import AlexaSubdomainsDataset
 from repro.analysis.patterns import PatternAnalysis
@@ -22,6 +22,7 @@ from repro.cartography.latency_method import (
 from repro.cartography.proximity_method import ProximityZoneIdentifier
 from repro.cloud.base import InstanceRole, InstanceType
 from repro.net.ipv4 import IPv4Address
+from repro.obs import NOOP, Observability
 from repro.report.cdf import CDF
 from repro.world import World
 
@@ -44,15 +45,20 @@ class ZoneAnalysis:
         world: World,
         dataset: AlexaSubdomainsDataset,
         patterns: Optional[PatternAnalysis] = None,
+        obs: Observability = NOOP,
     ):
         self.world = world
         self.dataset = dataset
         self.patterns = patterns or PatternAnalysis(world, dataset)
+        self.obs = obs
         self.latency = LatencyZoneIdentifier(world.ec2, world.prober)
         self.proximity = ProximityZoneIdentifier(world.ec2)
         self.combined = CombinedZoneIdentifier(self.latency, self.proximity)
         self._region_results: Dict[str, CombinedResult] = {}
         self._targets: Optional[Dict[str, List[IPv4Address]]] = None
+        self._subdomain_zones: Optional[
+            Dict[str, FrozenSet[Tuple[str, int]]]
+        ] = None
 
     # -- Table 11: the calibration experiment -------------------------------
 
@@ -190,10 +196,23 @@ class ZoneAnalysis:
     def _zone_of(self, region_name: str, address: IPv4Address):
         return self.region_result(region_name).zones.get(address)
 
-    def subdomain_zones(self) -> Dict[str, Set[Tuple[str, int]]]:
-        """fqdn → set of (region, zone label) its front ends span."""
+    def subdomain_zones(self) -> Dict[str, FrozenSet[Tuple[str, int]]]:
+        """fqdn → set of (region, zone label) its front ends span.
+
+        Built once: the patterns and each region's identification are
+        themselves memoized, so later builds could only repeat the
+        first.  Every call gets its own dict.
+        """
+        if self._subdomain_zones is None:
+            with self.obs.tracer.span("subdomain-zones", category="view"):
+                self._subdomain_zones = self._build_subdomain_zones()
+        return dict(self._subdomain_zones)
+
+    def _build_subdomain_zones(
+        self,
+    ) -> Dict[str, FrozenSet[Tuple[str, int]]]:
         region_ranges = self.world.ec2.plan.prefix_set()
-        result: Dict[str, Set[Tuple[str, int]]] = {}
+        result: Dict[str, FrozenSet[Tuple[str, int]]] = {}
         for pattern in self.patterns.patterns():
             addresses = (
                 pattern.front_vm_ips | pattern.elb_ips | pattern.heroku_ips
@@ -209,7 +228,7 @@ class ZoneAnalysis:
                 if zone is not None:
                     zones.add((region, zone))
             if zones:
-                result[pattern.fqdn] = zones
+                result[pattern.fqdn] = frozenset(zones)
         return result
 
     def zones_per_subdomain_cdf(self) -> CDF:

@@ -13,7 +13,10 @@ subsumes) is:
 * the callable runs over a contiguous index range and results come
   back **in index order**, so merges are deterministic;
 * platforms without ``fork`` fall back to in-process execution, which
-  is bit-identical by construction.
+  is bit-identical by construction;
+* a worker that dies (killed by a signal or the OOM killer) fails the
+  call with a :class:`RuntimeError` naming the lost tasks, never a
+  hang.
 
 Only the module-level trampoline is ever pickled by the pool; the work
 callable itself (usually a closure over campaign state) stays in the
@@ -116,6 +119,10 @@ def fork_map(
     chunk's digs).  It cannot conjure fork support: when the platform
     has none the calls still run in-process, so such callers must gate
     on :func:`repro.sim.fork_pool_available` themselves.
+
+    An exception raised by ``fn`` re-raises here.  A worker process
+    that dies mid-task raises :class:`RuntimeError` listing every task
+    left without a result, the killed one among them.
     """
     if count <= 0:
         return []
@@ -123,17 +130,42 @@ def fork_map(
     if not fork_pool_available() or (workers <= 1 and not force_fork):
         return [fn(index) for index in range(count)]
     workers = max(1, workers)
+    # Imported here: most runs never fork, and the pool's import costs
+    # about 10 ms of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     global _ACTIVE_FN
     _ACTIVE_FN = fn
+    results: List[object] = []
+    lost: List[int] = []
     try:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(processes=workers) as pool:
-            results = pool.map(_invoke, range(count))
+        # With the fork context the executor forks every worker before
+        # its manager thread starts, so no thread is forked.
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+        )
+        try:
+            futures = []
+            try:
+                for index in range(count):
+                    futures.append(pool.submit(_invoke, index))
+            except BrokenProcessPool:
+                pass  # a worker already died: the rest count as lost
+            for index, future in enumerate(futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool:
+                    lost.append(index)
+            lost.extend(range(len(futures), count))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
     finally:
         _ACTIVE_FN = None
-    if len(results) != count:
+    if lost:
         raise RuntimeError(
-            f"fork fan-out drift: {count} tasks submitted, "
-            f"{len(results)} results returned"
+            f"fork fan-out lost tasks {lost} of {count}: a worker "
+            f"process died (killed by a signal or out of memory)"
         )
     return results

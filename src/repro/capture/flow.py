@@ -72,5 +72,22 @@ class Trace:
     def total_bytes(self) -> int:
         return sum(flow.total_bytes for flow in self.flows)
 
+    def flow_table(self):
+        """The flows packed into a
+        :class:`~repro.columnar.tables.FlowTable`, in trace order."""
+        from repro.columnar.tables import FlowTableBuilder
+
+        builder = FlowTableBuilder()
+        for flow in self.flows:
+            builder.add(
+                flow.ts, flow.duration, flow.src, flow.dst.value,
+                flow.proto, flow.dport, flow.total_bytes,
+                http_host=flow.http_host,
+                content_type=flow.content_type,
+                content_length=flow.content_length,
+                tls_common_name=flow.tls_common_name,
+            )
+        return builder.build(sort_by_ts=False)
+
     def sort_by_time(self) -> None:
         self.flows.sort(key=lambda f: f.ts)

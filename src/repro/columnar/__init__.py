@@ -24,8 +24,7 @@ except ImportError as exc:  # pragma: no cover - depends on environment
         "repro.columnar requires NumPy, which is not installed. "
         "Install the package with its declared dependencies "
         "(`pip install -e .` pulls in numpy per pyproject.toml / "
-        "setup.py), or run with REPRO_COLUMNAR=0 to stay on the "
-        "scalar paths."
+        "setup.py)."
     ) from exc
 
 from repro.flags import columnar_runtime_enabled, set_columnar_enabled

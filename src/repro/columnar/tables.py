@@ -6,9 +6,9 @@ NumPy columns plus interning pools (clients, hostnames, content types,
 TLS names, protocols), and :class:`ColumnarTrace` wraps a table in the
 exact :class:`repro.capture.flow.Trace` interface: ``len``/
 ``total_bytes`` answer straight off the columns (which is all the
-pipeline digest reads), while iteration materializes
-:class:`FlowRecord` objects lazily for the Bro analyzer and any other
-row-oriented consumer.
+pipeline digest reads), the Bro analyzer reads the table itself
+(:meth:`ColumnarTrace.flow_table`), and iteration materializes
+:class:`FlowRecord` objects lazily for any row-oriented consumer.
 
 Serialization is digest-stable by construction: ``__reduce__`` encodes
 each column via ``ndarray.tobytes`` (little-endian fixed dtypes) plus
@@ -236,9 +236,10 @@ def _rebuild_columnar_trace(payload: dict) -> "ColumnarTrace":
 class ColumnarTrace(Trace):
     """A :class:`Trace` served from a :class:`FlowTable`.
 
-    Length and byte totals come straight off the columns; ``.flows``
-    materializes row objects on first access (then behaves exactly
-    like the base class, including mutation via :meth:`add`).
+    Length, byte totals and :meth:`flow_table` come straight off the
+    columns; ``.flows`` materializes row objects on first access (then
+    behaves exactly like the base class, including mutation via
+    :meth:`add`).
     """
 
     def __init__(self, table: FlowTable):
@@ -272,6 +273,11 @@ class ColumnarTrace(Trace):
         if self._dirty:
             return sum(flow.total_bytes for flow in self._materialized)
         return self._table.total_bytes_sum()
+
+    def flow_table(self) -> FlowTable:
+        if self._dirty:
+            return super().flow_table()
+        return self._table
 
     def sort_by_time(self) -> None:
         # The builder already ordered the table by ts; only a mutated

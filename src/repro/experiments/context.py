@@ -282,14 +282,16 @@ class ExperimentContext:
     def zones(self) -> ZoneAnalysis:
         if self._zones is None:
             self._zones = ZoneAnalysis(
-                self.world, self.dataset, self.patterns
+                self.world, self.dataset, self.patterns, obs=self.obs
             )
         return self._zones
 
     @property
     def traffic(self) -> TrafficAnalysis:
         if self._traffic is None:
-            self._traffic = TrafficAnalysis(self.world, trace=self.trace)
+            self._traffic = TrafficAnalysis(
+                self.world, trace=self.trace, obs=self.obs
+            )
         return self._traffic
 
     # -- run telemetry -------------------------------------------------
@@ -299,7 +301,9 @@ class ExperimentContext:
         context's builds, aggregated from the tracer's span tree.  Only
         stages that actually ran appear; a fully warm artifact-cache
         run reports none, and a :data:`~repro.obs.NOOP` plane reports
-        empty sections."""
+        empty sections.  ``views_s`` charges each derived view (the
+        frontier per metric, the capture aggregate, the subdomain
+        zones) once, to its build, whichever experiment asked first."""
         tracer = self.obs.tracer
         telemetry = {
             "stages_s": {
@@ -318,6 +322,12 @@ class ExperimentContext:
                 name: round(seconds, 3)
                 for name, seconds in sorted(
                     tracer.seconds_by_name("campaign").items()
+                )
+            },
+            "views_s": {
+                name: round(seconds, 3)
+                for name, seconds in sorted(
+                    tracer.seconds_by_name("view").items()
                 )
             },
         }

@@ -119,7 +119,9 @@ def run_ext_compression(ctx: ExperimentContext) -> Measurement:
 
 
 def run_ext_headline(ctx: ExperimentContext) -> Measurement:
-    numbers = measure_headline(ctx.world, ctx.dataset, ctx.wan)
+    numbers = measure_headline(
+        ctx.world, ctx.clouduse, ctx.patterns, ctx.regions, ctx.wan
+    )
     measured = {
         "cloud_share_pct": round(numbers.cloud_share_pct, 1),
         "vm_front_share_pct": round(numbers.vm_front_share_pct, 1),

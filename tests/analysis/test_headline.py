@@ -2,12 +2,24 @@
 
 import pytest
 
+from repro.analysis.clouduse import CloudUseAnalysis
 from repro.analysis.headline import measure_headline
+from repro.analysis.patterns import PatternAnalysis
+from repro.analysis.regions import RegionAnalysis
 
 
 @pytest.fixture(scope="module")
-def headline(world, dataset, wan):
-    return measure_headline(world, dataset, wan)
+def analyses(world, dataset):
+    return (
+        CloudUseAnalysis(world, dataset),
+        PatternAnalysis(world, dataset),
+        RegionAnalysis(world, dataset),
+    )
+
+
+@pytest.fixture(scope="module")
+def headline(world, analyses, wan):
+    return measure_headline(world, *analyses, wan)
 
 
 class TestHeadline:
@@ -28,6 +40,6 @@ class TestHeadline:
         assert f"{headline.cloud_share_pct:.1f}%" in text
         assert "EC2/Azure" in text
 
-    def test_without_wan_gain_is_zero(self, world, dataset):
-        numbers = measure_headline(world, dataset, wan=None)
+    def test_without_wan_gain_is_zero(self, world, analyses):
+        numbers = measure_headline(world, *analyses, wan=None)
         assert numbers.k3_latency_gain_pct == 0.0

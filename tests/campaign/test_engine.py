@@ -5,6 +5,11 @@ every probe type, exact shared-stream bookkeeping, retry/timeout/loss
 policy semantics, drift detection, and scenario injection.
 """
 
+import os
+import re
+import signal
+import time
+
 import pytest
 
 from repro.analysis.wan import WanAnalysis, WanConfig
@@ -118,6 +123,40 @@ class TestFanout:
 
         assert fork_map(record, 4, 1) == [0, 1, 2, 3]
         assert calls == [0, 1, 2, 3]  # ran in-process
+
+    def test_fork_map_raises_when_a_worker_is_killed(self):
+        """A task that SIGKILLs its own worker (what the OOM killer
+        does) fails the call naming the task, instead of hanging."""
+
+        def task(index):
+            if index == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return index
+
+        def hung(signum, frame):
+            raise TimeoutError("fork_map hung after a worker died")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="lost tasks") as info:
+                fork_map(task, 3, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        listed = re.search(r"lost tasks \[([\d, ]+)\]", str(info.value))
+        assert 1 in [int(item) for item in listed.group(1).split(",")]
+        assert time.monotonic() - started < 10
+
+    def test_fork_map_reraises_task_errors(self):
+        def task(index):
+            if index == 2:
+                raise ValueError("task 2 failed")
+            return index
+
+        with pytest.raises(ValueError, match="task 2 failed"):
+            fork_map(task, 3, 2)
 
 
 class TestEngineDeterminism:
