@@ -106,6 +106,11 @@ class WanAnalysis:
     def world(self) -> World:
         if self._world is None:
             self._world = self._world_provider()
+            # The provider may close over this analysis's owner (an
+            # experiment context does); dropping it once the world is
+            # known leaves the owner free of reference cycles, so a
+            # dropped context is freed at once, frozen or not.
+            self._world_provider = None
         return self._world
 
     @property

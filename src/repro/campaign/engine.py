@@ -42,7 +42,6 @@ dataset shard merge).
 
 from __future__ import annotations
 
-import gc
 import logging
 import time
 from dataclasses import dataclass
@@ -52,7 +51,9 @@ from repro.campaign.fanout import fork_map, partition
 from repro.campaign.model import CampaignResult, ProbePolicy, ProbeRecord
 from repro.faults.scenarios import OutageScenario
 from repro.obs import NOOP, Observability
-from repro.sim import advance_gauss, derive_rng, fork_pool_available
+from repro.sim import (
+    advance_gauss, collector_paused, derive_rng, fork_pool_available,
+)
 
 log = logging.getLogger("repro.campaign")
 
@@ -166,17 +167,13 @@ class CampaignEngine:
                 # overhead (they roughly doubled grid time at bench
                 # scale).  Probe objects are acyclic — refcounting
                 # reclaims the transients — so collection is safely
-                # deferred to the end of the run.
-                was_enabled = gc.isenabled()
-                if was_enabled:
-                    gc.disable()
-                try:
+                # deferred to the end of the run.  The engine never
+                # freezes: its callers include tests and tools that own
+                # no long-lived heap.
+                with collector_paused():
                     records = self._run_grid(
                         campaign, vantages, targets, effective
                     )
-                finally:
-                    if was_enabled:
-                        gc.enable()
         elapsed = time.perf_counter() - start
         if self.obs.metrics.enabled:
             self._observe_records(campaign, records, elapsed)

@@ -16,27 +16,50 @@ subsumes) is:
   is bit-identical by construction;
 * a worker that dies (killed by a signal or the OOM killer) fails the
   call with a :class:`RuntimeError` naming the lost tasks, never a
-  hang.
+  hang;
+* every task runs in **its own fork**, made from the calling thread
+  with no helper thread alive, so each task starts from the parent's
+  state at the call and never from a copy an earlier task mutated.  A
+  reused pool worker would break that: a rank chunk of the §2.1 build
+  must dig in a pristine copy-on-write world.
 
-Only the module-level trampoline is ever pickled by the pool; the work
-callable itself (usually a closure over campaign state) stays in the
-parent's memory image and reaches children through the fork.
+Nothing is pickled on the way in: the work callable (usually a closure
+over campaign state) stays in the parent's memory image and reaches
+each child through the fork.  Only results, and task errors, travel
+back, one pipe per task.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, List, Optional, Sequence, Tuple
+import traceback
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.sim import fork_pool_available
 
-#: The active work callable, inherited by forked children.
-_ACTIVE_FN: Optional[Callable[[int], object]] = None
+
+class _RemoteTraceback(Exception):
+    """The formatted traceback of a task error raised in a child."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
-def _invoke(index: int):
-    """Pool trampoline: the only object that crosses via pickling."""
-    return _ACTIVE_FN(index)
+def _run_task(fn: Callable[[int], object], index: int, writer) -> None:
+    """Child side of one task: run it and send back the outcome."""
+    try:
+        outcome = (True, fn(index), "")
+    except Exception as error:  # re-raised in the parent
+        outcome = (False, error, traceback.format_exc())
+    try:
+        writer.send(outcome)
+    except Exception as error:  # an unpicklable result or error
+        writer.send((
+            False,
+            RuntimeError(f"task {index}'s outcome cannot be sent: {error!r}"),
+            traceback.format_exc(),
+        ))
+    writer.close()
 
 
 def partition(count: int, shards: int) -> List[Tuple[int, int]]:
@@ -105,13 +128,15 @@ def fork_map(
     fn: Callable[[int], object], count: int, workers: int,
     force_fork: bool = False,
 ) -> List[object]:
-    """Run ``fn(0) .. fn(count - 1)`` over forked workers, in order.
+    """Run ``fn(0) .. fn(count - 1)`` in forked children, in order.
 
-    ``fn`` must be self-contained under fork semantics: whatever state
-    it closes over is copied into the children at fork time and
-    mutations never propagate back — results must carry everything the
-    parent needs to reconcile.  With ``workers <= 1``, ``count <= 1``,
-    or no fork support, the calls run in-process instead.
+    Each call gets a fresh fork of the parent, at most ``workers`` of
+    them alive at once.  ``fn`` must be self-contained under fork
+    semantics: whatever state it closes over is copied into the child
+    at fork time and mutations never propagate back — results must
+    carry everything the parent needs to reconcile.  With
+    ``workers <= 1``, ``count <= 1``, or no fork support, the calls run
+    in-process instead.
 
     ``force_fork=True`` forks even for a single worker or task — for
     callers that rely on fork *isolation* rather than parallelism (the
@@ -120,9 +145,11 @@ def fork_map(
     has none the calls still run in-process, so such callers must gate
     on :func:`repro.sim.fork_pool_available` themselves.
 
-    An exception raised by ``fn`` re-raises here.  A worker process
-    that dies mid-task raises :class:`RuntimeError` listing every task
-    left without a result, the killed one among them.
+    An exception raised by ``fn`` re-raises here (the lowest failing
+    index, with the child's traceback as its cause).  A child that dies
+    mid-task raises :class:`RuntimeError` listing every task left
+    without a result, the killed one among them.  After either failure
+    no further task starts.
     """
     if count <= 0:
         return []
@@ -130,42 +157,61 @@ def fork_map(
     if not fork_pool_available() or (workers <= 1 and not force_fork):
         return [fn(index) for index in range(count)]
     workers = max(1, workers)
-    # Imported here: most runs never fork, and the pool's import costs
-    # about 10 ms of start-up.
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    # Imported here: most runs never fork.
+    from multiprocessing.connection import wait
 
-    global _ACTIVE_FN
-    _ACTIVE_FN = fn
-    results: List[object] = []
+    context = multiprocessing.get_context("fork")
+    results: Dict[int, object] = {}
+    errors: Dict[int, Tuple[Exception, str]] = {}
     lost: List[int] = []
+    running: Dict[object, Tuple[int, object]] = {}
+    started = 0
     try:
-        # With the fork context the executor forks every worker before
-        # its manager thread starts, so no thread is forked.
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-        )
-        try:
-            futures = []
-            try:
-                for index in range(count):
-                    futures.append(pool.submit(_invoke, index))
-            except BrokenProcessPool:
-                pass  # a worker already died: the rest count as lost
-            for index, future in enumerate(futures):
+        while True:
+            # Fork a task per free worker slot; once one has failed,
+            # start no more.
+            while (
+                started < count and len(running) < workers
+                and not (errors or lost)
+            ):
+                reader, writer = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_run_task, args=(fn, started, writer)
+                )
+                process.start()
+                # The child holds the only write end, so its death
+                # reads as end-of-file here.
+                writer.close()
+                running[reader] = (started, process)
+                started += 1
+            if not running:
+                break
+            for reader in wait(list(running)):
+                index, process = running.pop(reader)
                 try:
-                    results.append(future.result())
-                except BrokenProcessPool:
+                    ok, payload, remote = reader.recv()
+                except EOFError:
                     lost.append(index)
-            lost.extend(range(len(futures), count))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+                else:
+                    if ok:
+                        results[index] = payload
+                    else:
+                        errors[index] = (payload, remote)
+                finally:
+                    reader.close()
+                    process.join()
     finally:
-        _ACTIVE_FN = None
+        for reader, (_, process) in running.items():
+            process.terminate()
+            process.join()
+            reader.close()
+    if errors:
+        error, remote = errors[min(errors)]
+        raise error from _RemoteTraceback(remote)
     if lost:
+        lost = sorted(lost) + list(range(started, count))
         raise RuntimeError(
             f"fork fan-out lost tasks {lost} of {count}: a worker "
             f"process died (killed by a signal or out of memory)"
         )
-    return results
+    return [results[index] for index in range(count)]

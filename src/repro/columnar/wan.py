@@ -6,9 +6,10 @@ computations over the whole (round × client × pair) grid, producing
 bit-identical matrices and leaving the world in the identical state:
 
 * The shared jitter and noise streams are separate ``StreamRegistry``
-  lanes, so each can be drawn as one :func:`gauss_block` — the scalar
-  cell loop interleaves them per probe, but interleaving across
-  *different* generators does not change what either generator yields.
+  lanes, so each can be drawn in bulk, one :class:`GaussStream` block
+  per round — the scalar cell loop interleaves them per probe, but
+  interleaving across *different* generators does not change what
+  either generator yields.
 * The base RTT for a (client, instance) pair depends on the instance
   only through its ``("cloud", provider, region)`` path key, so it is
   computed once per (round, client, region) through the *scalar*
@@ -35,7 +36,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.columnar.parity import vec_exp
-from repro.columnar.rng import gauss_block
+from repro.columnar.rng import GaussStream
 from repro.internet.throughput import INIT_CWND_BYTES, WINDOW_BYTES
 from repro.probing.httpget import DEFAULT_OBJECT_BYTES, DEFAULT_TIMEOUT_S
 
@@ -150,41 +151,47 @@ def _compute_matrices(
                     rtt_s + ramp_rounds * rtt_s + remaining / steady
                 )
 
-    # Expand per-region values to the pair axis.
+    # Draw and reduce one round at a time, in the scalar consumption
+    # order: jitter (round → client → pair → ping → [mult, fixed]) and
+    # noise (round → client → pair) are independent lanes, so the scalar
+    # interleave between them is immaterial.  Both are consumed
+    # round-major and a GaussStream carries the cached half-pair from
+    # block to block, so the per-round blocks are exactly the slices of
+    # one campaign-wide draw while the temporaries stay one round big.
     pair_counts = [hi - lo for lo, hi in blocks]
-    base_p = np.repeat(base, pair_counts, axis=2)
-    duration_p = np.repeat(duration_det, pair_counts, axis=2)
+    ping_mean = np.empty((rounds, n_clients, n_pairs), dtype=np.float64)
+    rate_kb = np.empty_like(ping_mean)
+    completed = np.empty(ping_mean.shape, dtype=bool)
+    jitter = GaussStream(latency_model._jitter_rng)
+    noise = GaussStream(throughput_model._noise_rng)
+    for r in range(rounds):
+        jitter_z = jitter.take(
+            n_clients * n_pairs * pings * 2
+        ).reshape(n_clients, n_pairs, pings, 2)
+        noise_z = noise.take(n_clients * n_pairs).reshape(n_clients, n_pairs)
 
-    # One bulk draw per stream, in the scalar consumption order:
-    # jitter (round → client → pair → ping → [mult, fixed]) and noise
-    # (round → client → pair) are independent lanes, so the scalar
-    # interleave between them is immaterial.
-    jitter_z = gauss_block(
-        latency_model._jitter_rng,
-        rounds * n_clients * n_pairs * pings * 2,
-    ).reshape(rounds, n_clients, n_pairs, pings, 2)
-    noise_z = gauss_block(
-        throughput_model._noise_rng, rounds * n_clients * n_pairs
-    ).reshape(rounds, n_clients, n_pairs)
+        # probe_rtts_ms: base + (abs(g1) + abs(g2)), g1 ~ N(0,
+        # 0.04*base), g2 ~ N(0, 0.4).  |z*sigma| == |z|*sigma exactly.
+        base_b = np.repeat(base[r], pair_counts, axis=1)[..., None]
+        rtt = base_b + (
+            np.abs(jitter_z[..., 0]) * (0.04 * base_b)
+            + np.abs(jitter_z[..., 1]) * 0.4
+        )
+        # Mean over pings: sequential adds, like sum(valid)/len(valid).
+        acc = rtt[..., 0]
+        for k in range(1, pings):
+            acc = acc + rtt[..., k]
+        ping_mean[r] = acc / pings
 
-    # probe_rtts_ms: base + (abs(g1) + abs(g2)), g1 ~ N(0, 0.04*base),
-    # g2 ~ N(0, 0.4).  |z*sigma| == |z|*sigma exactly.
-    base_b = base_p[..., None]
-    rtt = base_b + (
-        np.abs(jitter_z[..., 0]) * (0.04 * base_b)
-        + np.abs(jitter_z[..., 1]) * 0.4
-    )
-    # Mean over pings: sequential adds, like sum(valid)/len(valid).
-    acc = rtt[..., 0]
-    for k in range(1, pings):
-        acc = acc + rtt[..., k]
-    ping_mean = acc / pings
-
-    # download: duration *= exp(gauss(0, 0.18)); completed iff within
-    # the timeout; rate_kb = (size/duration)/1024.
-    duration = duration_p * vec_exp(noise_z * 0.18)
-    completed = duration <= timeout
-    rate_kb = (size / duration) / 1024.0
+        # download: duration *= exp(gauss(0, 0.18)); completed iff
+        # within the timeout; rate_kb = (size/duration)/1024.
+        duration = np.repeat(duration_det[r], pair_counts, axis=1) * (
+            vec_exp(noise_z * 0.18)
+        )
+        completed[r] = duration <= timeout
+        rate_kb[r] = (size / duration) / 1024.0
+    jitter.close()
+    noise.close()
 
     # Region folds, pair-sequential like the scalar defaultdict walk.
     lat_out = np.empty((rounds, n_clients, n_regions), dtype=np.float64)

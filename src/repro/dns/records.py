@@ -47,7 +47,7 @@ def parent_of(name: str) -> Optional[str]:
     return rest if dot else None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ResourceRecord:
     """One DNS resource record.
 
@@ -60,14 +60,24 @@ class ResourceRecord:
     value: object
     ttl: int = 300
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", normalize_name(self.name))
-        if self.rtype is RRType.A and not isinstance(self.value, IPv4Address):
-            object.__setattr__(self, "value", IPv4Address.parse(str(self.value)))
-        elif self.rtype in (RRType.CNAME, RRType.NS):
-            object.__setattr__(self, "value", normalize_name(str(self.value)))
-        if self.ttl < 0:
-            raise ValueError(f"negative TTL: {self.ttl}")
+    def __init__(
+        self, name: str, rtype: RRType, value: object, ttl: int = 300
+    ) -> None:
+        # Normalize first, then set each field once: a world build
+        # makes one record per DNS name it deploys.
+        name = normalize_name(name)
+        if rtype is RRType.A:
+            if not isinstance(value, IPv4Address):
+                value = IPv4Address.parse(str(value))
+        elif rtype is RRType.CNAME or rtype is RRType.NS:
+            value = normalize_name(str(value))
+        if ttl < 0:
+            raise ValueError(f"negative TTL: {ttl}")
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "rtype", rtype)
+        set_field(self, "value", value)
+        set_field(self, "ttl", ttl)
 
     def __str__(self) -> str:
         return f"{self.name} {self.ttl} IN {self.rtype.value} {self.value}"

@@ -46,6 +46,7 @@ class Zone:
 
     def __init__(self, origin: str, axfr_allowed: bool = False):
         self.origin = normalize_name(origin)
+        self._suffix = "." + self.origin
         self.axfr_allowed = axfr_allowed
         self._static: Dict[str, Dict[RRType, List[ResourceRecord]]] = {}
         self._dynamic: Dict[str, DynamicName] = {}
@@ -62,17 +63,24 @@ class Zone:
             self._on_change()
 
     def _check_in_zone(self, name: str) -> str:
-        name = normalize_name(name)
-        if name != self.origin and not name.endswith("." + self.origin):
+        """``name``, already normalized, if it is at or under the origin."""
+        if name != self.origin and not name.endswith(self._suffix):
             raise ValueError(f"{name} is not within zone {self.origin}")
         return name
 
     def add(self, record: ResourceRecord) -> None:
         """Add a static record (name must be at or under the origin)."""
+        # Records normalize their names when constructed.
         name = self._check_in_zone(record.name)
-        self._static.setdefault(name, {}).setdefault(
-            record.rtype, []
-        ).append(record)
+        by_type = self._static.get(name)
+        if by_type is None:
+            self._static[name] = {record.rtype: [record]}
+        else:
+            records = by_type.get(record.rtype)
+            if records is None:
+                by_type[record.rtype] = [record]
+            else:
+                records.append(record)
         self._changed()
 
     def add_all(self, records: Iterable[ResourceRecord]) -> None:
@@ -80,6 +88,7 @@ class Zone:
             self.add(record)
 
     def add_dynamic(self, dynamic: DynamicName) -> None:
+        # Dynamic names normalize their names when constructed.
         name = self._check_in_zone(dynamic.name)
         self._dynamic[name] = dynamic
         self._changed()

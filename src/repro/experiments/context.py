@@ -29,12 +29,24 @@ later materialized, the queued replays run first, in the order the
 products were served, leaving the world exactly where a cold run's
 call sequence would.  A fully warm product-only run never materializes
 the world and pays for none of this.
+
+The context also owns the process's collector policy.  Each stage
+(world, dataset, capture) builds with the cyclic collector paused and
+ends with :func:`gc.freeze`, so later collections — during the
+campaigns and the experiments — skip the heap the run keeps instead of
+rescanning it.  The stage builds leave no cyclic garbage behind, so
+nothing dead is frozen.  Before a context builds its world, anything
+an earlier context froze is unfrozen and collected once, so a process
+that builds many contexts (the scheduler, an epoch series, the test
+suite) holds at most one finished run's heap.
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.analysis.dataset import AlexaSubdomainsDataset, DatasetBuilder
 from repro.analysis.clouduse import CloudUseAnalysis
@@ -49,7 +61,20 @@ from repro.cloud.ec2 import ec2_region_names
 from repro.faults.scenarios import OutageScenario
 from repro.internet.vantage import planetlab_sites
 from repro.obs import Observability
+from repro.sim import collector_paused
 from repro.world import World, WorldConfig
+
+
+def _release_frozen_heap() -> None:
+    """Unfreeze whatever an earlier stage froze, then collect once.
+
+    Without the collection, the next stage's :func:`gc.freeze` would
+    catch a dead run's cyclic heap again before any pass could free it.
+    A fresh process has frozen nothing and pays nothing.
+    """
+    if gc.get_freeze_count():
+        gc.unfreeze()
+        gc.collect()
 
 
 class ExperimentContext:
@@ -137,10 +162,19 @@ class ExperimentContext:
 
     # -- expensive artifacts -------------------------------------------
 
+    @contextmanager
+    def _stage(self, name: str) -> Iterator[None]:
+        """One stage build: a span, the collector paused, and the
+        stage's heap frozen once it is built (module docstring)."""
+        with self.obs.tracer.span(name, category="stage"):
+            with collector_paused(freeze=True):
+                yield
+
     @property
     def world(self) -> World:
         if self._world is None:
-            with self.obs.tracer.span("world", category="stage"):
+            _release_frozen_heap()
+            with self._stage("world"):
                 if self.epoch is not None:
                     # The epoch timeline owns world construction: base
                     # world plus every evolution step through this
@@ -178,7 +212,7 @@ class ExperimentContext:
         build's DNS side effects are part of the state the capture
         generator consumes.
         """
-        with self.obs.tracer.span("dataset", category="stage"):
+        with self._stage("dataset"):
             builder = DatasetBuilder(
                 self.world, scenario=self.scenario, obs=self.obs
             )
@@ -226,7 +260,7 @@ class ExperimentContext:
         return self._trace
 
     def _capture(self, world: World) -> Trace:
-        with self.obs.tracer.span("capture", category="stage"):
+        with self._stage("capture"):
             return world.capture_trace()
 
     @property

@@ -106,13 +106,18 @@ class IPv4Network:
     def first(self) -> int:
         return self.network
 
+    # ``last`` and ``num_addresses`` come straight from the two stored
+    # ints, with no detour through ``mask``: address allocation reads
+    # them once per address.  (Stored as extra fields they would cost
+    # every network in the world two more ints.)
+
     @property
     def last(self) -> int:
-        return self.network | (~self.mask & _MAX_IPV4)
+        return self.network | ((1 << (32 - self.prefix_len)) - 1)
 
     @property
     def num_addresses(self) -> int:
-        return self.last - self.first + 1
+        return 1 << (32 - self.prefix_len)
 
     def __contains__(self, addr: object) -> bool:
         if isinstance(addr, IPv4Address):
@@ -145,7 +150,7 @@ class IPv4Network:
         """The host address ``offset`` addresses into the block."""
         if not 0 <= offset < self.num_addresses:
             raise ValueError(f"offset {offset} outside {self}")
-        return IPv4Address(self.first + offset)
+        return IPv4Address(self.network + offset)
 
     def __str__(self) -> str:
         return f"{int_to_ip(self.network)}/{self.prefix_len}"

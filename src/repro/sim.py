@@ -9,10 +9,13 @@ fragility).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 
 @lru_cache(maxsize=262144)
@@ -85,6 +88,33 @@ def fork_pool_available() -> bool:
     import multiprocessing
 
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+@contextmanager
+def collector_paused(freeze: bool = False) -> Iterator[None]:
+    """Run the enclosed block with the cyclic garbage collector paused.
+
+    A build that allocates what it keeps (a world's tenants, a
+    campaign's records) gains nothing from generational passes over its
+    growing heap: the objects survive, and refcounting still frees the
+    acyclic transients.  The collector's previous enabled state comes
+    back on exit, so a pause nested inside another is a no-op.
+
+    ``freeze=True`` calls :func:`gc.freeze` when the block *succeeds*,
+    moving everything tracked so far into the permanent generation that
+    later collections skip.  Only a caller that owns the process's
+    long-lived heap may ask for it (see
+    :class:`repro.experiments.context.ExperimentContext`).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        if freeze:
+            gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 #: Below this draw count the scalar loop beats the vectorized

@@ -24,6 +24,7 @@ from repro.dns.infrastructure import DnsInfrastructure, NameServer
 from repro.dns.records import RRType, ResourceRecord
 from repro.dns.zone import Zone
 from repro.net.ipv4 import IPv4Address, IPv4Network
+from repro.sampling import WeightedChooser
 from repro.sim import StreamRegistry
 from repro.workload.plans import DomainPlan, SubdomainPlan
 
@@ -38,6 +39,20 @@ _NUM_HOST_PARTNERS = 20
 _NUM_OTHER_CDNS = 6
 #: Number of external managed-DNS providers.
 _NUM_DNS_PROVIDERS = 40
+#: Cloud Service kinds behind Azure front ends.
+_CS_KINDS = WeightedChooser(
+    (ServiceKind.SINGLE_VM, ServiceKind.VM_GROUP, ServiceKind.PAAS),
+    (0.45, 0.25, 0.30),
+)
+#: Traffic Manager routing policies.
+_TM_POLICIES = WeightedChooser(
+    (
+        AzureCloud.POLICY_PERFORMANCE,
+        AzureCloud.POLICY_FAILOVER,
+        AzureCloud.POLICY_ROUND_ROBIN,
+    ),
+    (0.5, 0.25, 0.25),
+)
 
 
 class ExternalAddressPool:
@@ -465,11 +480,7 @@ class Deployer:
         ))
 
     def _cs_kind(self) -> str:
-        return self.rng.choices(
-            (ServiceKind.SINGLE_VM, ServiceKind.VM_GROUP, ServiceKind.PAAS),
-            weights=(0.45, 0.25, 0.30),
-            k=1,
-        )[0]
+        return _CS_KINDS.choose(self.rng)
 
     def _deploy_tm(self, deployed: DeployedDomain, sub: SubdomainPlan) -> None:
         services = [
@@ -480,15 +491,7 @@ class Deployer:
             )
             for region_name in sub.regions
         ]
-        policy = self.rng.choices(
-            (
-                AzureCloud.POLICY_PERFORMANCE,
-                AzureCloud.POLICY_FAILOVER,
-                AzureCloud.POLICY_ROUND_ROBIN,
-            ),
-            weights=(0.5, 0.25, 0.25),
-            k=1,
-        )[0]
+        policy = _TM_POLICIES.choose(self.rng)
         profile = self.azure.create_traffic_manager(services, policy=policy)
         deployed.zone.add(ResourceRecord(
             sub.fqdn, RRType.CNAME, profile.cname, ttl=300

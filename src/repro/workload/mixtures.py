@@ -14,9 +14,15 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.sampling import WeightedChooser
+
 
 def sample_discrete(rng: random.Random, table: Dict[str, float]) -> str:
-    """Sample a key from a {value: weight} table."""
+    """Sample a key from a {value: weight} table.
+
+    Compiles the table on every call; a fixed :class:`Mixtures` table
+    draws through :meth:`Mixtures.chooser` instead, bit-identically.
+    """
     keys = list(table)
     weights = list(table.values())
     return rng.choices(keys, weights=weights, k=1)[0]
@@ -298,6 +304,33 @@ class Mixtures:
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
         self._samplers: Dict[str, PowerLawSampler] = {}
+        self._choosers: Dict[object, Tuple[object, WeightedChooser]] = {}
+
+    def chooser(self, name: str) -> WeightedChooser:
+        """The compiled draw over the weight table field ``name``.
+
+        A draw is bit-identical to :func:`sample_discrete` over the same
+        table (one ``random()`` call, the same bisect), and returns the
+        table's key itself, so int-keyed tables yield ints.  The table
+        is compiled on first use and again whenever the field is
+        rebound; tables are fixed once drawn from, so change one by
+        assigning a new mapping, never by editing it in place.
+        """
+        return self._compiled(name, getattr(self, name))
+
+    def _compiled(self, key, table, population=None) -> WeightedChooser:
+        """The chooser cached under ``key``, recompiled when ``table``
+        is a new object.  ``table`` is a ``{key: weight}`` mapping, or a
+        weight sequence over ``population``."""
+        cached = self._choosers.get(key)
+        if cached is None or cached[0] is not table:
+            if population is None:
+                population, weights = list(table), list(table.values())
+            else:
+                weights = table
+            cached = (table, WeightedChooser(population, weights))
+            self._choosers[key] = cached
+        return cached[1]
 
     def power_law(self, name: str, alpha: float, n_max: int) -> PowerLawSampler:
         sampler = self._samplers.get(name)
@@ -329,22 +362,22 @@ class Mixtures:
         ).sample(rng)
 
     def sample_frontend_vms(self, rng: random.Random, minimum: int = 1) -> int:
-        counts = list(range(1, len(self.frontend_vm_weights) + 1))
+        weights = self.frontend_vm_weights
+        chooser = self._compiled(
+            "frontend_vms", weights, range(1, len(weights) + 1)
+        )
         while True:
-            n = rng.choices(counts, weights=self.frontend_vm_weights, k=1)[0]
+            n = chooser.choose(rng)
             if n >= minimum:
                 return n
 
     def sample_elb_physical(self, rng: random.Random) -> int:
-        return int(sample_discrete(
-            rng, {str(k): v for k, v in self.elb_physical_weights.items()}
-        ))
+        return self.chooser("elb_physical_weights").choose(rng)
 
     def sample_zone_count(self, rng: random.Random, max_zones: int) -> int:
+        chooser = self.chooser("zone_count_weights")
         while True:
-            k = int(sample_discrete(
-                rng, {str(k): v for k, v in self.zone_count_weights.items()}
-            ))
+            k = chooser.choose(rng)
             if k <= max_zones:
                 return k
 
@@ -352,12 +385,14 @@ class Mixtures:
         self, rng: random.Random, region_name: str, count: int
     ) -> List[int]:
         """``count`` distinct physical zones in a region, skew-weighted."""
-        weights = list(self.zone_weights.get(region_name, (1.0,)))
-        indices = list(range(len(weights)))
-        count = min(count, len(indices))
+        weights = self.zone_weights.get(region_name, (1.0,))
+        chooser = self._compiled(
+            ("zones", region_name), weights, range(len(weights))
+        )
+        count = min(count, len(chooser.population))
         chosen: List[int] = []
         while len(chosen) < count:
-            pick = rng.choices(indices, weights=weights, k=1)[0]
+            pick = chooser.choose(rng)
             if pick not in chosen:
                 chosen.append(pick)
         return sorted(chosen)

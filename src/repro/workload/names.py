@@ -6,6 +6,7 @@ import random
 from typing import List, Set
 
 from repro.dns.enumeration import default_wordlist
+from repro.sampling import WeightedChooser
 
 _SYLLABLES = (
     "ba", "bel", "bo", "cam", "car", "cen", "cor", "da", "del", "dex",
@@ -36,7 +37,9 @@ class DomainNameFactory:
         self.rng = rng
         self._used: Set[str] = set()
         self._tld_names = [t for t, _ in _TLDS]
-        self._tld_weights = [w for _, w in _TLDS]
+        self._tld_chooser = WeightedChooser(
+            self._tld_names, [w for _, w in _TLDS]
+        )
         self._counter = 0
 
     def reserve(self, name: str) -> None:
@@ -50,9 +53,7 @@ class DomainNameFactory:
             stem = "".join(
                 self.rng.choice(_SYLLABLES) for _ in range(n_syllables)
             )
-            tld = self.rng.choices(
-                self._tld_names, weights=self._tld_weights, k=1
-            )[0]
+            tld = self._tld_chooser.choose(self.rng)
             name = stem + tld
             if any(bad in name for bad in _BLOCKED_SUBSTRINGS):
                 continue

@@ -114,12 +114,13 @@ class PlanGenerator:
 
     # -- shared helpers ------------------------------------------------------
 
+    def _draw(self, table: str):
+        """One ``plans``-stream draw from a fixed mixture table."""
+        return self.mixtures.chooser(table).choose(self.rng)
+
     def _sample_dns(self) -> Tuple[str, int]:
-        hosting = sample_discrete(self.rng, self.mixtures.dns_hosting)
-        ns_count = int(sample_discrete(
-            self.rng,
-            {str(k): v for k, v in self.mixtures.ns_count_weights.items()},
-        ))
+        hosting = self._draw("dns_hosting")
+        ns_count = self._draw("ns_count_weights")
         return hosting, ns_count
 
     def _customer_country(self, home_region: Optional[str]) -> Optional[str]:
@@ -132,23 +133,18 @@ class PlanGenerator:
             country = _REGION_COUNTRY.get(home_region)
             if country is not None:
                 return country
-        return sample_discrete(
-            self.rng, self.mixtures.customer_country_weights
-        )
+        return self._draw("customer_country_weights")
 
     def _pick_regions(
         self, provider: str, home: str, count: int
     ) -> List[str]:
-        weights = (
-            self.mixtures.ec2_region_weights
-            if provider == "ec2"
-            else self.mixtures.azure_region_weights
+        chooser = self.mixtures.chooser(
+            "ec2_region_weights" if provider == "ec2"
+            else "azure_region_weights"
         )
         regions = [home]
-        names = list(weights)
-        w = list(weights.values())
         while len(regions) < count:
-            pick = self.rng.choices(names, weights=w, k=1)[0]
+            pick = chooser.choose(self.rng)
             if pick not in regions:
                 regions.append(pick)
         return regions
@@ -199,16 +195,12 @@ class PlanGenerator:
         return self._plan_cloud(rank, domain)
 
     def _plan_cloud(self, rank: Optional[int], domain: str) -> DomainPlan:
-        category = sample_discrete(self.rng, self.mixtures.domain_category)
+        category = self._draw("domain_category")
         uses_ec2 = category in ("ec2_only", "ec2_other", "ec2_azure")
         uses_azure = category in ("azure_only", "azure_other", "ec2_azure")
-        home_ec2 = (
-            sample_discrete(self.rng, self.mixtures.ec2_region_weights)
-            if uses_ec2 else None
-        )
+        home_ec2 = self._draw("ec2_region_weights") if uses_ec2 else None
         home_azure = (
-            sample_discrete(self.rng, self.mixtures.azure_region_weights)
-            if uses_azure else None
+            self._draw("azure_region_weights") if uses_azure else None
         )
         hosting, ns_count = self._sample_dns()
         plan = DomainPlan(
@@ -319,10 +311,9 @@ class PlanGenerator:
         """Domain-conditional front-end choice for one subdomain."""
         m = self.mixtures
         if features is None:
-            mixture = (
-                m.ec2_frontend if provider == "ec2" else m.azure_frontend
+            return self._draw(
+                "ec2_frontend" if provider == "ec2" else "azure_frontend"
             )
-            return sample_discrete(self.rng, mixture)
         roll = self.rng.random()
         if provider == "ec2":
             if features["heroku"]:
@@ -358,14 +349,10 @@ class PlanGenerator:
         features: Optional[Dict[str, bool]] = None,
     ) -> SubdomainPlan:
         frontend = self._sample_frontend(provider, features)
-        region_table = (
-            self.mixtures.ec2_subdomain_region_count
-            if provider == "ec2"
-            else self.mixtures.azure_subdomain_region_count
+        region_count = self._draw(
+            "ec2_subdomain_region_count" if provider == "ec2"
+            else "azure_subdomain_region_count"
         )
-        region_count = int(sample_discrete(
-            self.rng, {str(k): v for k, v in region_table.items()}
-        ))
         if frontend in _SINGLE_REGION_FRONTENDS:
             region_count = 1
         if frontend == "tm":
@@ -373,12 +360,10 @@ class PlanGenerator:
         if self.rng.random() < self.mixtures.home_region_affinity:
             first = home_region
         else:
-            weights = (
-                self.mixtures.ec2_region_weights
-                if provider == "ec2"
-                else self.mixtures.azure_region_weights
+            first = self._draw(
+                "ec2_region_weights" if provider == "ec2"
+                else "azure_region_weights"
             )
-            first = sample_discrete(self.rng, weights)
         regions = self._pick_regions(provider, first, region_count)
         n_vms = 0
         elb_physical = 0

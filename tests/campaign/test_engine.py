@@ -32,6 +32,18 @@ from repro.probing.traceroute import TracerouteTool
 from repro.world import World, WorldConfig
 
 
+#: Set by any task of the fresh-fork test that runs where an earlier
+#: task already ran; the parent's copy must stay unset.
+_FLIPPED = False
+
+
+def _flip_and_report(index: int) -> bool:
+    global _FLIPPED
+    seen = _FLIPPED
+    _FLIPPED = True
+    return seen
+
+
 def make_world(seed: int = 33) -> World:
     return World(WorldConfig(seed=seed, num_domains=200))
 
@@ -123,6 +135,15 @@ class TestFanout:
 
         assert fork_map(record, 4, 1) == [0, 1, 2, 3]
         assert calls == [0, 1, 2, 3]  # ran in-process
+
+    def test_fork_map_gives_every_task_its_own_fork(self):
+        """Each task starts from the parent's state at the call, never
+        from a worker an earlier task already mutated (a rank chunk
+        must dig in a pristine copy-on-write world)."""
+        for _ in range(30):
+            assert fork_map(_flip_and_report, 3, 3) == [False] * 3
+        assert fork_map(_flip_and_report, 6, 2) == [False] * 6
+        assert _FLIPPED is False  # no task ran in the parent
 
     def test_fork_map_raises_when_a_worker_is_killed(self):
         """A task that SIGKILLs its own worker (what the OOM killer

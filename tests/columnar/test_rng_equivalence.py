@@ -13,6 +13,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.columnar.rng import (  # noqa: E402
+    GaussStream,
     WordLedger,
     advance_gauss_bulk,
     gauss_block,
@@ -70,6 +71,23 @@ def test_gauss_block_matches_scalar(seed, warmup, n):
     assert block.tolist() == expected
     _assert_state_equal(ref, probe)
     # Follow-on draws agree too (gauss_next cache handed back right).
+    assert probe.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("warmup", [0, 1])
+@pytest.mark.parametrize("sizes", [(3, 0, 1, 4, 5), (1, 1, 1), (0,), (7, 256)])
+def test_gauss_stream_blocks_match_scalar(seed, warmup, sizes):
+    # Odd block sizes leave a half-pair that the next block must start
+    # with; close() must hand the last one back to the generator.
+    ref, probe = _pair(seed, warmup_gauss=warmup)
+    stream = GaussStream(probe)
+    blocks = [stream.take(n).tolist() for n in sizes]
+    stream.close()
+    assert blocks == [
+        [ref.gauss(0.0, 1.0) for _ in range(n)] for n in sizes
+    ]
+    _assert_state_equal(ref, probe)
     assert probe.gauss(0.0, 1.0) == ref.gauss(0.0, 1.0)
 
 

@@ -17,19 +17,19 @@ from repro.flags import set_columnar_enabled  # noqa: E402
 from repro.world import World, WorldConfig  # noqa: E402
 
 
-def _small_world(seed):
+def _small_world(seed, probe_vantages=6):
     return World(WorldConfig(
         seed=seed,
         num_domains=60,
         num_dns_vantages=3,
-        num_probe_vantages=6,
+        num_probe_vantages=probe_vantages,
     ))
 
 
-def _matrices(seed, columnar, config=None):
+def _matrices(seed, columnar, config=None, probe_vantages=6):
     previous = set_columnar_enabled(columnar)
     try:
-        world = _small_world(seed)
+        world = _small_world(seed, probe_vantages)
         analysis = WanAnalysis(
             world, config or WanConfig(rounds=4)
         )
@@ -59,10 +59,27 @@ def _assert_tables_equal(a, b):
                 assert va == vb, (key, va, vb)
 
 
-@pytest.mark.parametrize("seed", [7, 21, 1999])
-def test_wan_matrices_bit_identical(seed):
-    _, lat_s, thr_s, js, ns = _matrices(seed, False)
-    _, lat_c, thr_c, jc, nc = _matrices(seed, True)
+@pytest.mark.parametrize(
+    "seed, probe_vantages, config",
+    [
+        (7, 6, None),
+        (21, 6, None),
+        (1999, 6, None),
+        # An odd clients × pairs product (5 × 19) leaves the noise
+        # stream's Box-Muller half-pair cached at the end of every other
+        # round, so round-sized bulk draws must carry it across round
+        # boundaries.
+        (11, 5, WanConfig(rounds=5, instances_per_zone=1)),
+    ],
+    ids=["7", "21", "1999", "odd-round-draws"],
+)
+def test_wan_matrices_bit_identical(seed, probe_vantages, config):
+    analysis, lat_s, thr_s, js, ns = _matrices(
+        seed, False, config, probe_vantages
+    )
+    if probe_vantages % 2:
+        assert len(analysis.clients) * len(analysis._campaign().pairs) % 2
+    _, lat_c, thr_c, jc, nc = _matrices(seed, True, config, probe_vantages)
     _assert_tables_equal(lat_s, lat_c)
     _assert_tables_equal(thr_s, thr_c)
     assert js == jc  # jitter stream left in the sequential position

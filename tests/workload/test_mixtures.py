@@ -40,6 +40,54 @@ class TestSampleDiscrete:
         assert counts["a"] > counts["b"] * 4
 
 
+#: Every ``{key: weight}`` table a plan draw reads through the chooser.
+CHOOSER_TABLES = (
+    "domain_category", "ec2_frontend", "azure_frontend",
+    "elb_physical_weights", "dns_hosting", "ns_count_weights",
+    "ec2_region_weights", "azure_region_weights",
+    "ec2_subdomain_region_count", "azure_subdomain_region_count",
+    "zone_count_weights", "customer_country_weights",
+)
+
+
+class TestCompiledTables:
+    @pytest.mark.parametrize("name", CHOOSER_TABLES)
+    def test_chooser_draws_equal_sample_discrete(self, name):
+        # The uncompiled draw over the same keys, stringified the way
+        # the int-keyed tables used to be drawn.
+        m = Mixtures()
+        table = getattr(m, name)
+        as_text = {str(k): v for k, v in table.items()}
+        compiled, reference = random.Random(5), random.Random(5)
+        chooser = m.chooser(name)
+        for _ in range(500):
+            key = chooser.choose(compiled)
+            assert str(key) == sample_discrete(reference, as_text)
+            assert type(key) is type(next(iter(table)))
+        assert compiled.getstate() == reference.getstate()
+
+    def test_chooser_recompiles_a_rebound_table(self):
+        m = Mixtures()
+        first = m.chooser("dns_hosting")
+        assert m.chooser("dns_hosting") is first
+        m.dns_hosting = {"route53": 1.0}
+        assert m.chooser("dns_hosting").choose(random.Random(1)) == "route53"
+
+    def test_sequence_tables_match_choices(self):
+        m = Mixtures()
+        compiled, reference = random.Random(9), random.Random(9)
+        counts = list(range(1, len(m.frontend_vm_weights) + 1))
+        for _ in range(300):
+            assert m.sample_frontend_vms(compiled) == reference.choices(
+                counts, weights=m.frontend_vm_weights, k=1
+            )[0]
+        zones = m.zone_weights["us-east-1"]
+        for _ in range(300):
+            assert m.pick_zones(compiled, "us-east-1", 1) == [
+                reference.choices(range(len(zones)), weights=zones, k=1)[0]
+            ]
+
+
 class TestMixtures:
     def test_frontend_mixture_sums_to_one(self):
         m = Mixtures()
