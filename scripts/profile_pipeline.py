@@ -27,17 +27,20 @@ tier also scales the campus capture (client population, flow and byte
 budgets; the seed tier keeps the committed defaults so its digests
 hold); ``--clients`` overrides the tier's client count.
 ``--workers`` drives both parallel campaigns (dataset shards and WAN
-rounds).  The streaming data plane (deferred world + chunked dataset
-build + one-pass capture analysis; see docs/PERFORMANCE.md) is on by
-default and produces bit-identical digests; ``--no-streaming`` forces
-the batch paths, ``--chunk-size`` bounds the ranks materialized per
-streaming chunk, and ``--max-rss-mib`` fails the run when the
-process's true peak RSS exceeds the budget (the CI memory gate).  ``--verify-workers`` re-runs the whole pipeline per worker
-count and fails unless every digest agrees.  ``--no-columnar`` runs
-the whole pipeline with the columnar data plane disabled (the scalar
-reference paths); ``--compare-scalar`` additionally runs that scalar
-pipeline after the main one, fails unless every digest is identical,
-and records per-stage scalar-vs-columnar speedups.  Unless
+rounds).  By default the pipeline builds a deferred world, whose
+forked chunk build releases tenant state as it goes (see
+docs/PERFORMANCE.md); ``--no-streaming`` builds a batch world instead,
+with identical digests.  Either way the capture stage generates the
+trace ``ExperimentContext`` analyses (``World.capture_trace``).
+``--chunk-size`` bounds the ranks a deferred world deploys per chunk,
+and ``--max-rss-mib`` fails the run when the process's true peak RSS
+exceeds the budget (the CI memory gate).  ``--verify-workers`` re-runs
+the whole pipeline per worker count and fails unless every digest
+agrees.  ``--no-columnar`` runs the whole pipeline with the columnar
+data plane disabled (the scalar reference paths); ``--compare-scalar``
+additionally runs that scalar pipeline after the main one, fails
+unless every digest is identical, and records per-stage
+scalar-vs-columnar speedups.  Unless
 ``--no-cache-check`` is given, the script also runs the pipeline twice
 through the artifact cache — a cold run that populates it and a warm
 run that must be served entirely from it — and fails unless both match
@@ -225,11 +228,12 @@ def run_once(
     digests (and the run's :class:`~repro.obs.Observability` plane).
 
     ``columnar=False`` forces the scalar reference paths and
-    ``streaming=False`` the batch data plane (a materialized world and
-    the full capture trace) for the whole run — outputs, and the probe
-    event log, must be bit-identical any way around.  Whether a
-    deferred world's dataset build forks is the builder's decision
-    (:meth:`DatasetBuilder.can_shard`); the capture emits no events."""
+    ``streaming=False`` a batch world (every tenant deployed up front)
+    for the whole run — outputs, and the probe event log, must be
+    bit-identical any way around.  Whether a deferred world's dataset
+    build forks is the builder's decision
+    (:meth:`DatasetBuilder.can_shard`).  Both worlds generate the full
+    capture trace; the capture emits no events."""
     obs = Observability.collecting(events=collect_events)
     tracer = obs.tracer
     previous_observer = obs.install_rng_counter()
@@ -252,13 +256,7 @@ def run_once(
             dataset = builder.build(workers=workers)
 
         with stage("capture"):
-            # The streaming summary and the batch trace answer the same
-            # digest probes (len / total_bytes) with identical values;
-            # only the peak memory differs.
-            if streaming:
-                trace = world.capture_summary(workers=workers, obs=obs)
-            else:
-                trace = world.capture_trace()
+            trace = world.capture_trace()
 
         wan = WanAnalysis(
             world, WanConfig(rounds=wan_rounds, workers=workers),
@@ -535,8 +533,8 @@ def main() -> int:
     )
     parser.add_argument(
         "--no-streaming", action="store_true",
-        help="force the batch data plane (materialized world, "
-             "all-at-once dataset build, full capture trace)",
+        help="build a batch world (every tenant deployed up front, "
+             "all-at-once dataset build) instead of a deferred one",
     )
     parser.add_argument(
         "--max-rss-mib", type=int, default=None,

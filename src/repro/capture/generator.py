@@ -237,13 +237,13 @@ class CaptureGenerator:
     ) -> Iterator[FlowRecord]:
         """Yield every capture flow in scalar generation order.
 
-        This is the streaming entry point: the flows come out in *draw*
-        order (per provider, HTTP(S) before background), not time
-        order, and nothing is retained between yields — a one-pass
-        consumer sees the whole capture in O(1) flow memory.  The
-        batch :meth:`generate` is exactly ``Trace(iter_flows(...))``
-        plus the stable time sort, so both paths consume the
-        ``capture`` RNG stream identically.
+        This is the scalar :meth:`generate`'s flow source: the flows
+        come out in *draw* order (per provider, HTTP(S) before
+        background), not time order, and ``generate`` is exactly
+        ``Trace(iter_flows(...))`` plus the stable time sort.
+        :mod:`repro.columnar.capture` replays the same draws into
+        columns, so both planes consume the ``capture`` RNG stream
+        identically.
         """
         for provider in ("ec2", "azure"):
             cloud_bytes = self.config.total_bytes * CLOUD_BYTE_SPLIT[provider]

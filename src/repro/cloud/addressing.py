@@ -117,7 +117,13 @@ _BLOCK_FILL_LIMIT = 3000
 
 @dataclass
 class ZoneInternalAllocator:
-    """Internal (10/8) addressing for one region, banded by zone."""
+    """Internal (10/8) addressing for one region, banded by zone.
+
+    The region's /16 blocks are dealt to its zones in runs of
+    ``_ZONE_BAND_RUN`` consecutive blocks, round-robin, so zone ``z``'s
+    ``k``-th block lies in run ``(k // _ZONE_BAND_RUN) * num_zones + z``.
+    Blocks are computed from that rule, never stored.
+    """
 
     region_name: str
     num_zones: int
@@ -128,45 +134,48 @@ class ZoneInternalAllocator:
     def __post_init__(self) -> None:
         if self.num_zones <= 0:
             raise ValueError("region must have at least one zone")
-        self._zone_blocks: Dict[int, List[IPv4Network]] = {
-            z: [] for z in range(self.num_zones)
-        }
-        blocks = list(self.internal_root.subnets(16))
-        # Paper-tier headroom: keep striping past the root's last /16 by
-        # continuing into the adjacent space.  Extending the *tail* of
-        # each zone's block list preserves every address smaller tiers
-        # ever issued (allocation only opens higher block indices once
-        # earlier blocks fill), so seed/mid outputs are unchanged.
-        extension = IPv4Network(
-            self.internal_root.last + 1,
-            self.internal_root.prefix_len,
-        )
-        for _ in range(3):
-            blocks.extend(extension.subnets(16))
-            extension = IPv4Network(
-                extension.last + 1, extension.prefix_len
+        if self.internal_root.prefix_len > 16:
+            raise ValueError(
+                f"internal root {self.internal_root} too small to carve "
+                "/16 blocks"
             )
-        zone = 0
-        for start in range(0, len(blocks), _ZONE_BAND_RUN):
-            run = blocks[start:start + _ZONE_BAND_RUN]
-            self._zone_blocks[zone].extend(run)
-            zone = (zone + 1) % self.num_zones
+        # Paper-tier headroom: keep striping past the root's last /16 by
+        # continuing into the three adjacent root-sized blocks.  Extending
+        # the *tail* of each zone's block list preserves every address
+        # smaller tiers ever issued (allocation only opens higher block
+        # indices once earlier blocks fill), so seed/mid outputs are
+        # unchanged.
+        self._num_blocks = 4 * (self.internal_root.num_addresses >> 16)
+        self._block_counts = [0] * self.num_zones
+        for start in range(0, self._num_blocks, _ZONE_BAND_RUN):
+            run = start // _ZONE_BAND_RUN
+            self._block_counts[run % self.num_zones] += min(
+                _ZONE_BAND_RUN, self._num_blocks - start
+            )
         #: Per-(zone, block) allocation cursors and the highest block
         #: index each zone has opened so far.
         self._cursors: Dict[Tuple[int, int], int] = {}
         self._active: Dict[int, int] = {z: 0 for z in range(self.num_zones)}
 
+    def _block_first(self, zone_index: int, k: int) -> int:
+        """First address of the zone's ``k``-th /16 block."""
+        run = (k // _ZONE_BAND_RUN) * self.num_zones + zone_index
+        block = run * _ZONE_BAND_RUN + k % _ZONE_BAND_RUN
+        return self.internal_root.first + (block << 16)
+
     def zone_blocks(self, zone_index: int) -> List[IPv4Network]:
-        return list(self._zone_blocks[zone_index])
+        return [
+            IPv4Network(self._block_first(zone_index, k), 16)
+            for k in range(self._block_counts[zone_index])
+        ]
 
     def zone_of_internal_ip(self, ip: IPv4Address) -> Optional[int]:
         """Ground-truth zone owning an internal address (for scoring
         cartography accuracy; the measurement pipeline never calls this)."""
-        block16 = ip.slash16()
-        for zone, blocks in self._zone_blocks.items():
-            if block16 in blocks:
-                return zone
-        return None
+        block = (ip.value - self.internal_root.first) >> 16
+        if not 0 <= block < self._num_blocks:
+            return None
+        return (block // _ZONE_BAND_RUN) % self.num_zones
 
     def allocate(self, zone_index: int, rng: random.Random) -> IPv4Address:
         """Allocate an internal address somewhere in the zone's bands.
@@ -176,11 +185,10 @@ class ZoneInternalAllocator:
         over years, which is what lets proximity samples taken *after*
         tenant launches share the tenants' /16s.
         """
-        if zone_index not in self._zone_blocks:
+        if zone_index not in range(self.num_zones):
             raise KeyError(
                 f"zone {zone_index} not in region {self.region_name}"
             )
-        blocks = self._zone_blocks[zone_index]
         active = self._active[zone_index]
         if active > 0 and rng.random() < 0.35:
             block_idx = rng.randrange(active + 1)
@@ -196,7 +204,7 @@ class ZoneInternalAllocator:
         if offset >= _BLOCK_FILL_LIMIT:
             # The newest block is full too; open the next band.
             active += 1
-            if active >= len(blocks):
+            if active >= self._block_counts[zone_index]:
                 raise RuntimeError(
                     f"internal pool exhausted in zone {zone_index}"
                 )
@@ -204,4 +212,4 @@ class ZoneInternalAllocator:
             block_idx = active
             offset = 4 + rng.randint(1, 7)
         self._cursors[(zone_index, block_idx)] = offset
-        return blocks[block_idx].address_at(offset)
+        return IPv4Address(self._block_first(zone_index, block_idx) + offset)

@@ -11,11 +11,11 @@ Precedence: a programmatic override installed via
 :func:`set_columnar_enabled` wins; otherwise the ``REPRO_COLUMNAR``
 environment variable (anything but ``"0"`` enables); default on.
 
-The streaming data plane's one knob is the chunk size
-(:func:`set_chunk_size`): how many domain ranks a deferred world's
-forked dataset build deploys per chunk.  Whether a build forks at all
-is the builder's decision (:meth:`DatasetBuilder.can_shard`), not a
-switch — see ``docs/PERFORMANCE.md``.
+The deferred world's one knob is the chunk size
+(:func:`set_chunk_size`): how many domain ranks its forked dataset
+build deploys per chunk.  Whether a build forks at all is the
+builder's decision (:meth:`DatasetBuilder.can_shard`), not a switch —
+see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations

@@ -13,32 +13,21 @@ random() * total, 0, len - 1)]`` — so a chooser consumes exactly one
 is what lets the capture keep its pre-optimisation byte streams; it is
 pinned by a test against ``random.choices`` itself.
 
-Two streaming-plane primitives live here too:
-
-* :class:`IndexedWeightedChooser` — the same compiled draw over an
-  *implicit* ``range(n)`` population with the cumulative weights packed
-  into a C double array.  A million-client campus population costs 8
-  bytes per client instead of a boxed float plus a name string, and the
-  draw is bit-identical to a :class:`WeightedChooser` built from the
-  same weights (same doubles, same bisect).
-* :class:`BottomKReservoir` — a deterministic fixed-size distinct
-  sample: every key hashes to a salted priority and the reservoir keeps
-  the ``k`` smallest priorities seen.  Unlike Vitter's algorithm R it
-  consumes no RNG stream and is *exactly* mergeable — the bottom-k of a
-  union equals the merged bottom-k's of any partition, in any merge
-  order — which is what lets time-window shards of the capture agree
-  byte-for-byte with a sequential pass.
+:class:`IndexedWeightedChooser` is the same compiled draw over an
+*implicit* ``range(n)`` population with the cumulative weights packed
+into a C double array.  A million-client campus population costs 8
+bytes per client instead of a boxed float plus a name string, and the
+draw is bit-identical to a :class:`WeightedChooser` built from the
+same weights (same doubles, same bisect).
 """
 
 from __future__ import annotations
 
-import hashlib
-import heapq
 from array import array
 from bisect import bisect
 from itertools import accumulate
 from random import Random
-from typing import Generic, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -104,85 +93,3 @@ class IndexedWeightedChooser:
         return bisect(
             self.cum_weights, rng.random() * self.total, 0, self._hi
         )
-
-
-def _bottom_k_priority(salt: str, key: str) -> bytes:
-    """Salted, stable priority for :class:`BottomKReservoir` keys."""
-    return hashlib.sha256(f"{salt}|{key}".encode("utf-8")).digest()[:16]
-
-
-class BottomKReservoir(Generic[T]):
-    """Deterministic fixed-size distinct sample with exact merges.
-
-    Keeps the ``k`` keys whose salted SHA-256 priorities are smallest.
-    Because the priority is a pure function of the key, the reservoir
-    consumes no RNG stream, offering the same key twice is a no-op, and
-    merging is exact: the bottom-k of a union equals the bottom-k of
-    the merged reservoirs regardless of how the input was partitioned
-    or in what order partitions merge.  That invariance is what lets
-    per-time-window capture shards produce the same sample a
-    sequential pass does, byte for byte.
-
-    Internally a max-heap over the kept priorities (stored as
-    bit-complemented bytes so :mod:`heapq`'s min-heap surfaces the
-    current *largest* kept priority at the root) gives O(log k)
-    offers.
-    """
-
-    __slots__ = ("k", "salt", "_heap", "_kept")
-
-    def __init__(self, k: int, salt: str = ""):
-        if k < 1:
-            raise ValueError(f"reservoir size must be positive: {k}")
-        self.k = k
-        self.salt = salt
-        # Heap entries: (~priority bytes, key, payload).  Complemented
-        # priorities invert the ordering, turning heapq into a
-        # max-heap over the real priorities.
-        self._heap: List[Tuple[bytes, str, T]] = []
-        self._kept: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._kept
-
-    def offer(self, key: str, payload: T = None) -> bool:
-        """Consider ``key``; returns True if it is (now) in the sample."""
-        if key in self._kept:
-            return True
-        priority = _bottom_k_priority(self.salt, key)
-        inverted = bytes(255 - b for b in priority)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (inverted, key, payload))
-            self._kept[key] = payload
-            return True
-        root = self._heap[0]
-        # root[0] is the complemented *largest* kept priority; a new
-        # key wins when its priority is strictly smaller, i.e. its
-        # complement is strictly larger.
-        if inverted > root[0]:
-            heapq.heapreplace(self._heap, (inverted, key, payload))
-            del self._kept[root[1]]
-            self._kept[key] = payload
-            return True
-        return False
-
-    def merge(self, other: "BottomKReservoir[T]") -> None:
-        """Fold another reservoir's kept keys into this one."""
-        if other.salt != self.salt:
-            raise ValueError(
-                f"cannot merge reservoirs with different salts: "
-                f"{self.salt!r} vs {other.salt!r}"
-            )
-        for _, key, payload in other._heap:
-            self.offer(key, payload)
-
-    def items(self) -> List[Tuple[str, T]]:
-        """Kept (key, payload) pairs in ascending priority order."""
-        ranked = sorted(self._heap, reverse=True)
-        return [(key, payload) for _, key, payload in ranked]
-
-    def keys(self) -> List[str]:
-        return [key for key, _ in self.items()]

@@ -429,41 +429,22 @@ class World:
 
     # -- the packet capture -----------------------------------------------------
 
-    def _capture_generator(self) -> CaptureGenerator:
-        """A fresh border-capture generator with background targets set
-        (consumes the ``capture/background`` stream)."""
-        generator = CaptureGenerator(
-            streams=self.streams,
-            resolver=self.resolver_for(CAMPUS_VANTAGE),
-            cloud_ranges={
-                "ec2": self.ec2.published_range_set(),
-                "azure": self.azure.published_range_set(),
-            },
-            config=self.config.capture,
-        )
-        generator.set_background_targets(self._background_targets())
-        return generator
-
     def capture_trace(self) -> Trace:
         """The week-long campus capture (generated once, cached)."""
         if self._capture_trace is None:
-            generator = self._capture_generator()
+            generator = CaptureGenerator(
+                streams=self.streams,
+                resolver=self.resolver_for(CAMPUS_VANTAGE),
+                cloud_ranges={
+                    "ec2": self.ec2.published_range_set(),
+                    "azure": self.azure.published_range_set(),
+                },
+                config=self.config.capture,
+            )
+            # Consumes the ``capture/background`` stream.
+            generator.set_background_targets(self._background_targets())
             self._capture_trace = generator.generate(self.traffic_domains())
         return self._capture_trace
-
-    def capture_summary(self, workers: int = 0, obs=None):
-        """Stream-analyze the capture without materializing a trace.
-
-        One pass of bounded-memory aggregation (optionally sharded by
-        capture day when ``workers > 1``); totals match the batch
-        analyzer's exactly — see :mod:`repro.capture.streaming`.
-        """
-        from repro.capture.streaming import streaming_capture_summary
-        from repro.obs import NOOP
-
-        return streaming_capture_summary(
-            self, workers=workers, obs=obs if obs is not None else NOOP
-        )
 
     def _background_targets(self):
         rng = self.streams.stream("capture", "background")

@@ -14,6 +14,7 @@ import pytest
 from repro import flags
 from repro.analysis import dataset as dataset_module
 from repro.analysis.dataset import DatasetBuilder
+from repro.columnar.tables import _COLUMN_DTYPES, _POOL_NAMES
 from repro.faults.scenarios import OutageScenario
 from repro.obs import Observability
 from repro.world import World, WorldConfig
@@ -142,19 +143,36 @@ class TestChunkedCapture:
     def test_capture_matches_batch_world(self):
         # Fresh worlds: capture parity needs the dataset built first on
         # both sides (the sequential pipeline order), and the batch
-        # traffic stream must be consumed exactly once per world.
+        # traffic stream must be consumed exactly once per world.  The
+        # chunked world has released its tenants, so its capture digs
+        # the zones it kept.
         batch_world = World(WorldConfig(seed=SEED, num_domains=DOMAINS))
         DatasetBuilder(batch_world).build(0)
-        batch_summary = batch_world.capture_summary()
+        batch_table = batch_world.capture_trace().flow_table()
         world, _ = _chunked_build(2, 80)
-        summary = world.capture_summary()
-        assert (len(summary), summary.total_bytes()) == (
-            len(batch_summary), batch_summary.total_bytes()
-        )
-        assert summary.cloud_shares() == batch_summary.cloud_shares()
+        assert not world.deployer.deployed
+        table = world.capture_trace().flow_table()
+        assert len(table) == len(batch_table) > 0
+        for name, _ in _COLUMN_DTYPES:
+            column, batch_column = (
+                getattr(table, name), getattr(batch_table, name)
+            )
+            assert column.dtype == batch_column.dtype, name
+            assert column.tolist() == batch_column.tolist(), name
+        for name in _POOL_NAMES:
+            assert getattr(table, name) == getattr(batch_table, name), name
+        # The capture's DNS side effects: shared-rotation counters and
+        # every resolver's query count.
         assert (
-            summary.domains.items() == batch_summary.domains.items()
+            world.dns.dynamic_query_counts()
+            == batch_world.dns.dynamic_query_counts()
         )
+        assert {
+            name: r.query_count for name, r in world._resolvers.items()
+        } == {
+            name: r.query_count
+            for name, r in batch_world._resolvers.items()
+        }
 
 
 #: Build conditions a deferred world must hold batch parity under, and
