@@ -82,6 +82,7 @@ import shutil
 import sys
 import tempfile
 import time
+from types import SimpleNamespace
 
 from repro.analysis.dataset import DatasetBuilder
 from repro.analysis.wan import WanAnalysis, WanConfig
@@ -163,7 +164,24 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def _dataset_digests(dataset) -> dict:
+def _pipeline_digests(products, isp=None) -> dict:
+    """The six bench digests of one pipeline run.
+
+    ``products`` is an :class:`ExperimentContext`, or anything with its
+    ``dataset``, ``wan`` and ``trace`` attributes, read in that order
+    (the WAN campaign runs before the capture is read).  The traceroute
+    sweep runs last unless ``isp`` already holds its result: the sweep
+    launches probe instances, so it must not run twice.  On a warm
+    context it is what materializes the world and drains the queued
+    side-effect replays — exercising the pure-accelerator rule end to
+    end.
+    """
+    dataset = products.dataset
+    wan = products.wan
+    wan._measure()
+    trace = products.trace
+    if isp is None:
+        isp = wan.isp_diversity()
     records = sorted(
         (
             record.fqdn,
@@ -181,30 +199,16 @@ def _dataset_digests(dataset) -> dict:
         "ns_addresses": _digest(
             sorted((k, str(v)) for k, v in dataset.ns_addresses.items())
         ),
-    }
-
-
-def _wan_digests(wan: WanAnalysis) -> dict:
-    wan._measure()
-    return {
         "wan_latency": _digest(
             sorted((k, tuple(v)) for k, v in wan._latency.items())
         ),
         "wan_throughput": _digest(
             sorted((k, tuple(v)) for k, v in wan._throughput.items())
         ),
-    }
-
-
-def _trace_digest(trace) -> dict:
-    # len()/total_bytes() are columnar-reduction methods on a
-    # ColumnarTrace and plain loops on a scalar Trace; the values (and
-    # so the digest) are identical, without materializing row objects.
-    return {"trace": _digest((len(trace), trace.total_bytes()))}
-
-
-def _isp_digest(isp: dict) -> dict:
-    return {
+        # len()/total_bytes() are columnar reductions on a ColumnarTrace
+        # and plain loops on a scalar Trace; the values (and so the
+        # digest) are identical, without materializing row objects.
+        "trace": _digest((len(trace), trace.total_bytes())),
         "isp_diversity": _digest(
             sorted(
                 (
@@ -215,7 +219,7 @@ def _isp_digest(isp: dict) -> dict:
                 )
                 for region, info in isp.items()
             )
-        )
+        ),
     }
 
 
@@ -277,11 +281,9 @@ def run_once(
     }
     timings["total_s"] = sum(timings.values())
 
-    digests = {}
-    digests.update(_dataset_digests(dataset))
-    digests.update(_wan_digests(wan))
-    digests.update(_trace_digest(trace))
-    digests.update(_isp_digest(isp))
+    digests = _pipeline_digests(
+        SimpleNamespace(dataset=dataset, wan=wan, trace=trace), isp
+    )
     _, high_water = _rss_sample()
     return {
         "timings": timings,
@@ -315,11 +317,15 @@ def _injected_stage_delay(name: str) -> float:
 class _StageRss:
     """Context manager pairing a stage tracer span with RSS sampling.
 
-    Records ``{"end_kib", "delta_kib"}`` per stage — the resident set
-    after the stage and how much the stage grew (or, negative, shrank)
-    it.  The process high-water mark is reported once per run, not per
-    stage: ``VmHWM`` is monotone, so per-stage copies would just echo
-    the peak (the bug this layout replaces).
+    Records ``{"end_kib", "delta_kib", "hwm_raise_kib"}`` per stage —
+    the resident set after the stage, how much the stage grew (or,
+    negative, shrank) it, and how far it raised the process high-water
+    mark (``VmHWM`` after minus before).  The raise is non-zero only
+    for a stage that set a new peak, so the last stage with a raise is
+    the one whose transient set the run's peak, even when that
+    transient is gone by the stage's end.  The high-water mark itself
+    is reported once per run: ``VmHWM`` is monotone, so per-stage
+    copies would just echo the peak.
     """
 
     def __init__(self, tracer, name: str, into: dict):
@@ -328,7 +334,7 @@ class _StageRss:
         self._into = into
 
     def __enter__(self):
-        self._before, _ = _rss_sample()
+        self._before, self._hwm_before = _rss_sample()
         self._span = self._tracer.span(self._name, category="stage")
         self._span.__enter__()
         return self
@@ -338,9 +344,10 @@ class _StageRss:
         if delay:
             time.sleep(delay)
         result = self._span.__exit__(*exc)
-        end, _ = _rss_sample()
+        end, hwm = _rss_sample()
         self._into[self._name] = {
             "end_kib": end, "delta_kib": end - self._before,
+            "hwm_raise_kib": hwm - self._hwm_before,
         }
         return result
 
@@ -357,15 +364,7 @@ def run_cached(
         artifact_store=store,
     )
     start = time.perf_counter()
-    digests = {}
-    digests.update(_dataset_digests(context.dataset))
-    wan = context.wan
-    digests.update(_wan_digests(wan))
-    digests.update(_trace_digest(context.trace))
-    # The traceroute sweep is not a cached product; on a warm run it
-    # is what materializes the world and drains the queued side-effect
-    # replays — exercising the pure-accelerator rule end to end.
-    digests.update(_isp_digest(wan.isp_diversity()))
+    digests = _pipeline_digests(context)
     elapsed = time.perf_counter() - start
     return {
         "elapsed_s": round(elapsed, 3),
@@ -440,12 +439,7 @@ def run_epoch_series(
             artifact_store=store, epoch=epoch,
         )
         start = time.perf_counter()
-        digests = {}
-        digests.update(_dataset_digests(context.dataset))
-        wan = context.wan
-        digests.update(_wan_digests(wan))
-        digests.update(_trace_digest(context.trace))
-        digests.update(_isp_digest(wan.isp_diversity()))
+        digests = _pipeline_digests(context)
         elapsed = time.perf_counter() - start
         after = store.stats.as_dict()
         if index == 0:
@@ -744,6 +738,9 @@ def main() -> int:
         }
         report["scalar_comparison"] = {
             "timings_s": scalar_times,
+            # Its stages' hwm_raise_kib show whether this pass, not
+            # the gated one, set the invocation's peak.
+            "rss_kib": scalar["rss_kib"],
             "outputs_identical": True,
             "speedup": {
                 key: round(scalar["timings"][key] / best[key], 2)

@@ -7,61 +7,69 @@ recipe built from composable :class:`~repro.epochs.steps.EpochStep`\\ s
 (adoption, region expansion, EC2↔Azure↔both migrations, tenant
 churn); an :class:`~repro.epochs.plan.Epoch` is one point on the
 timeline; :func:`~repro.epochs.series.run_series` re-runs the full
-experiment plane at every epoch with incremental artifact reuse and
-emits the cross-epoch trend tables (:mod:`~repro.epochs.trends`) in
-``series.json``.
+experiment plane at every epoch with incremental artifact reuse,
+summarizes each epoch into a :class:`~repro.epochs.trends.Snapshot`,
+and emits the cross-epoch trend tables (:mod:`~repro.epochs.trends`)
+in ``series.json``.
 
 Epoch 0 is byte-identical to the single-shot pipeline, and a series is
 byte-identical cold vs warm-cache and sequential vs ``--workers N``.
-
-Exports resolve lazily (PEP 562): ``repro.evolution`` delegates its
-mutation bodies to :mod:`repro.epochs.steps` while the series/trends
-layers consume ``repro.evolution`` snapshots, so an eager ``__init__``
-would close an import cycle.
 """
 
-_EXPORTS = {
-    "DEFAULT_EPOCH_PLAN": "repro.epochs.plan",
-    "EPOCH_SECONDS": "repro.epochs.plan",
-    "Epoch": "repro.epochs.plan",
-    "EpochPlan": "repro.epochs.plan",
-    "named_epoch_plans": "repro.epochs.plan",
-    "resolve_epoch_plan": "repro.epochs.plan",
-    "EpochRun": "repro.epochs.series",
-    "SERIES_SCHEMA_VERSION": "repro.epochs.series",
-    "SeriesResult": "repro.epochs.series",
-    "iter_series_payloads": "repro.epochs.series",
-    "load_series": "repro.epochs.series",
-    "run_series": "repro.epochs.series",
-    "series_identifier": "repro.epochs.series",
-    "STEP_TYPES": "repro.epochs.steps",
-    "CloudAdoption": "repro.epochs.steps",
-    "DualProviderAdoption": "repro.epochs.steps",
-    "EpochDiff": "repro.epochs.steps",
-    "EpochStep": "repro.epochs.steps",
-    "MigrationToAzure": "repro.epochs.steps",
-    "MigrationToEc2": "repro.epochs.steps",
-    "RegionExpansion": "repro.epochs.steps",
-    "TenantChurn": "repro.epochs.steps",
-    "TrendContext": "repro.epochs.trends",
-    "run_trends": "repro.epochs.trends",
-    "trend_specs": "repro.epochs.trends",
-}
+from repro.epochs.plan import (
+    DEFAULT_EPOCH_PLAN,
+    EPOCH_SECONDS,
+    Epoch,
+    EpochPlan,
+    named_epoch_plans,
+    resolve_epoch_plan,
+)
+from repro.epochs.series import (
+    SERIES_SCHEMA_VERSION,
+    EpochRun,
+    SeriesResult,
+    iter_series_payloads,
+    load_series,
+    run_series,
+    series_identifier,
+)
+from repro.epochs.steps import (
+    STEP_TYPES,
+    CloudAdoption,
+    DualProviderAdoption,
+    EpochDiff,
+    EpochStep,
+    MigrationToAzure,
+    MigrationToEc2,
+    RegionExpansion,
+    TenantChurn,
+)
+from repro.epochs.trends import TrendContext, run_trends, trend_specs
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro.epochs' has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return __all__
+__all__ = [
+    "CloudAdoption",
+    "DEFAULT_EPOCH_PLAN",
+    "DualProviderAdoption",
+    "EPOCH_SECONDS",
+    "Epoch",
+    "EpochDiff",
+    "EpochPlan",
+    "EpochRun",
+    "EpochStep",
+    "MigrationToAzure",
+    "MigrationToEc2",
+    "RegionExpansion",
+    "SERIES_SCHEMA_VERSION",
+    "STEP_TYPES",
+    "SeriesResult",
+    "TenantChurn",
+    "TrendContext",
+    "iter_series_payloads",
+    "load_series",
+    "named_epoch_plans",
+    "resolve_epoch_plan",
+    "run_series",
+    "run_trends",
+    "series_identifier",
+    "trend_specs",
+]

@@ -44,8 +44,7 @@ from repro.analysis.wan import WanConfig
 from repro.artifacts import ArtifactStore, artifact_key
 from repro.artifacts.keys import code_fingerprint
 from repro.epochs.plan import Epoch, EpochPlan
-from repro.epochs.trends import run_trends
-from repro.evolution import Snapshot, take_world_snapshot
+from repro.epochs.trends import Snapshot, run_trends, take_world_snapshot
 from repro.experiments.base import ExperimentResult
 from repro.experiments.context import ExperimentContext
 from repro.experiments.manifest import RunManifest, check_schema_version

@@ -15,10 +15,10 @@ manifest stores it verbatim, and the per-kind epoch fingerprints
 step's declared ``affects`` set, so an artifact kind no step touched
 keeps its epoch-0 key and hits the content-addressed store.
 
-``CloudAdoption``, ``RegionExpansion``, and ``MigrationToEc2`` carry
-the exact draw order of the original ``repro.evolution`` methods —
-``WorldEvolution`` now delegates here, and its legacy single-stream
-behaviour is covered by tests.
+A step draws only from the RNG it is handed:
+:meth:`repro.epochs.plan.Epoch.build_world` derives one stream per
+(epoch, position, step), so no step's draws depend on which steps ran
+before it.
 """
 
 from __future__ import annotations

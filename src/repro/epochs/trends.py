@@ -1,11 +1,11 @@
 """Cross-epoch trend experiments: what a revisit study would publish.
 
-The series runner summarizes every epoch into a
-:class:`~repro.evolution.Snapshot`; the trend experiments here turn
-that snapshot sequence into the longitudinal tables the paper's
-closing section calls for — cloud share over time, provider mix, and
-the regional consolidation curve (per Bhattacherjee et al., "Measuring
-and exploiting the cloud consolidation of the Web").
+The series runner summarizes every epoch into a :class:`Snapshot`
+(:func:`take_world_snapshot`); the trend experiments here turn that
+snapshot sequence into the longitudinal tables the paper's closing
+section calls for — cloud share over time, provider mix, and the
+regional consolidation curve (per Bhattacherjee et al., "Measuring and
+exploiting the cloud consolidation of the Web").
 
 They are ordinary :class:`~repro.experiments.spec.ExperimentSpec`\\ s,
 but measured against a :class:`TrendContext` (the snapshot sequence)
@@ -18,12 +18,91 @@ against — the trends are recorded in ``series.json`` but never gate.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.evolution import Snapshot
+from repro.analysis.clouduse import CloudUseAnalysis
+from repro.analysis.dataset import AlexaSubdomainsDataset
+from repro.analysis.regions import RegionAnalysis
 from repro.experiments.spec import ExperimentSpec, Measurement, expect, info
 from repro.obs import NOOP, Observability
 from repro.report import TextTable, ascii_series, fmt_num, fmt_share
+from repro.world import World
+
+
+@dataclass
+class Snapshot:
+    """One measurement epoch's summary (derived fields only).
+
+    A snapshot never holds the epoch's dataset (tens of MB at paper
+    scale), so a long series stays constant-memory.
+    """
+
+    label: str
+    #: Simulation virtual time (seconds since the simulation epoch) at
+    #: which the snapshot was taken — deterministic, unlike wall clock.
+    virtual_time_s: float
+    cloud_domains: int
+    cloud_subdomains: int
+    ec2_share: float
+    azure_share: float
+    multi_region_fraction: float
+    #: Epoch index on a timeline (0 for ad-hoc snapshots).
+    epoch: int = 0
+    region_subdomains: Dict[str, int] = field(default_factory=dict)
+    #: Domain counts per Table 3 category ("EC2 only", "EC2 + Azure", ...).
+    provider_domains: Dict[str, int] = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        """Deterministic summary for series manifests."""
+        return {
+            "label": self.label,
+            "epoch": self.epoch,
+            "virtual_time_s": self.virtual_time_s,
+            "cloud_domains": self.cloud_domains,
+            "cloud_subdomains": self.cloud_subdomains,
+            "ec2_share": round(self.ec2_share, 6),
+            "azure_share": round(self.azure_share, 6),
+            "multi_region_fraction": round(self.multi_region_fraction, 6),
+            "region_subdomains": dict(sorted(
+                self.region_subdomains.items()
+            )),
+            "provider_domains": dict(self.provider_domains),
+        }
+
+
+def take_world_snapshot(
+    world: World,
+    dataset: AlexaSubdomainsDataset,
+    label: str,
+    epoch: int = 0,
+) -> Snapshot:
+    """Summarize one (world, dataset) pair into a :class:`Snapshot`.
+
+    The series runner passes the cached dataset product, so a warm
+    epoch never rebuilds anything to snapshot itself.
+    """
+    clouduse = CloudUseAnalysis(world, dataset)
+    regions = RegionAnalysis(world, dataset)
+    report = clouduse.report()
+    region_counts = {
+        f"{p}.{r}": v["subdomains"]
+        for (p, r), v in regions.region_counts().items()
+    }
+    multi = 1.0 - regions.single_region_fraction("ec2")
+    total = report.total_domains
+    return Snapshot(
+        label=label,
+        virtual_time_s=world.clock.now,
+        epoch=epoch,
+        cloud_domains=total,
+        cloud_subdomains=report.total_subdomains,
+        ec2_share=report.ec2_total_domains / total if total else 0.0,
+        azure_share=report.azure_total_domains / total if total else 0.0,
+        multi_region_fraction=multi,
+        region_subdomains=region_counts,
+        provider_domains=dict(report.domain_counts),
+    )
 
 
 class TrendContext:

@@ -224,7 +224,7 @@ def entries_from_bench_file(
     if not isinstance(payload, dict) or "trajectory" not in payload:
         raise ValueError(f"{path} is not a bench file (no trajectory)")
     bench = payload.get("bench") or {}
-    trajectory = payload.get("trajectory") or []
+    trajectory = payload["trajectory"]
     if not isinstance(trajectory, list):
         raise ValueError(f"{path} trajectory is not a list")
     file_mtime = path.stat().st_mtime

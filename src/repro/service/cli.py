@@ -1,9 +1,10 @@
 """``repro serve`` / ``repro jobs`` / ``repro runs`` — the service CLI.
 
-A thin client over the service layer: every subcommand either talks to
-a running daemon (``--url``) or opens the repository/scheduler
-in-process on a local root (``--root``) — same layer, no duplicate
-logic.  Dispatched from :func:`repro.experiments.cli.main`, which owns
+A thin client over the service layer: every ``jobs`` and ``runs``
+query builds one client — HTTP to a running daemon (``--url``), or the
+daemon's own route handlers in process over a local root (``--root``)
+— and runs one body against it, so both modes print the same bytes.
+Dispatched from :func:`repro.experiments.cli.main`, which owns
 the console-script entry points.
 
 Exit codes (shared with the experiments CLI, see ``EXIT_CODES_HELP``):
@@ -20,7 +21,8 @@ import time
 from typing import List, Optional
 
 from repro.obs import configure_logging
-from repro.service.api import DEFAULT_HOST, DEFAULT_PORT
+from repro.service.api import DEFAULT_HOST, DEFAULT_PORT, ServiceAPI
+from repro.service.client import LocalServiceClient, ServiceClient
 from repro.service.errors import ServiceError
 
 #: Exit status for service-layer failures (unreachable daemon, unknown
@@ -132,7 +134,8 @@ def build_service_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--wait", action="store_true",
-        help="block until the job finishes (exit 4 if it fails)",
+        help="block until the job finishes (exit 4 if it fails); "
+             "with --root, a daemon serving that root runs it",
     )
     submit.add_argument(
         "--timeout", type=float, default=1800.0, metavar="S",
@@ -215,7 +218,8 @@ def build_service_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--bench", action="append", default=[], metavar="FILE",
         help="extra bench JSON files to fold in (e.g. the committed "
-             "BENCH_pipeline*.json; repeatable)",
+             "BENCH_pipeline*.json; repeatable); exit 4 if one "
+             "cannot be read",
     )
     report.add_argument(
         "--check", action="store_true",
@@ -251,17 +255,21 @@ def _add_endpoint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _client(args):
-    from repro.service.client import ServiceClient
-
-    return ServiceClient(args.url)
-
-
-def _repository(args):
+    """HTTP to ``--url``, else the daemon's handlers over ``--root``
+    (a scheduler only for ``jobs``: it creates ``<root>/jobs/``)."""
+    url = args.url
+    if url is not None:
+        return ServiceClient(url)
     from repro.service.repository import RunRepository
 
     repository = RunRepository(args.root)
     repository.scan()
-    return repository
+    scheduler = None
+    if args.command == "jobs":
+        from repro.service.jobs import Scheduler
+
+        scheduler = Scheduler(repository)
+    return LocalServiceClient(ServiceAPI(repository, scheduler))
 
 
 def service_main(argv: Optional[List[str]] = None) -> int:
@@ -305,64 +313,35 @@ def _serve(args) -> int:
 
 
 def _jobs(args) -> int:
-    from repro.service.jobs import JobSpec
-
+    client = _client(args)
     if args.action == "submit":
-        spec = JobSpec.from_dict({
-            "kind": args.kind,
-            "seed": args.seed,
-            "domains": args.domains,
-            "wan_rounds": args.wan_rounds,
-            "workers": args.workers,
-            "scenario": args.scenario,
-            "experiments": list(args.experiments),
-            "epochs": args.epochs,
-            "epoch_plan": args.epoch_plan,
-        })
-        if args.url is not None:
-            if args.run_now:
-                print(
-                    "error: --run-now is local-only (the daemon "
-                    "executes --url submissions)", file=sys.stderr,
-                )
-                return 2
-            client = _client(args)
-            record = client.submit_job(
-                spec.as_dict(), force=args.force
-            )
-            print(f"submitted {record['job_id']} ({record['status']})")
-            if args.wait:
-                record = _wait_for_job(
-                    client, record["job_id"], args.timeout
-                )
-            return _job_exit(record)
-        from repro.service.jobs import Scheduler
-
-        scheduler = Scheduler(_repository(args))
-        record = scheduler.submit(spec, force=args.force)
-        print(f"submitted {record.job_id} ({record.status})")
-        if args.run_now and record.status in ("pending", "running"):
-            record = scheduler.execute(record)
-            print(f"{record.job_id}: {record.status}")
-        elif args.wait:
+        if args.run_now and not isinstance(client, LocalServiceClient):
             print(
-                "note: local --wait needs a daemon on the same root "
-                "(use --run-now to execute inline)", file=sys.stderr,
+                "error: --run-now is local-only (the daemon "
+                "executes --url submissions)", file=sys.stderr,
             )
-        return _job_exit(record.as_dict())
+            return 2
+        spec = {
+            name: getattr(args, name)
+            for name in ("kind", "seed", "domains", "wan_rounds",
+                         "workers", "scenario", "experiments", "epochs",
+                         "epoch_plan")
+        }
+        record = client.submit_job(spec, force=args.force)
+        print(f"submitted {record['job_id']} ({record['status']})")
+        if args.run_now:
+            if record["status"] in ("pending", "running"):
+                scheduler = client.api.scheduler
+                record = scheduler.execute(
+                    scheduler.get(record["job_id"])
+                ).as_dict()
+                print(f"{record['job_id']}: {record['status']}")
+        elif args.wait:
+            record = _wait_for_job(client, record["job_id"], args.timeout)
+        return _job_exit(record)
 
     if args.action == "list":
-        if args.url is not None:
-            records = _client(args).jobs(status=args.status)
-        else:
-            from repro.service.jobs import Scheduler
-
-            records = [
-                r.as_dict()
-                for r in Scheduler(_repository(args)).jobs(
-                    status=args.status
-                )
-            ]
+        records = client.jobs(status=args.status)
         if args.json:
             print(json.dumps(records, indent=2))
             return 0
@@ -387,13 +366,7 @@ def _jobs(args) -> int:
         return 0
 
     # show
-    if args.url is not None:
-        record = _client(args).job(args.job_id)
-    else:
-        from repro.service.jobs import Scheduler
-
-        record = Scheduler(_repository(args)).get(args.job_id).as_dict()
-    print(json.dumps(record, indent=2))
+    print(json.dumps(client.job(args.job_id), indent=2))
     return 0
 
 
@@ -440,18 +413,13 @@ def _runs(args) -> int:
             )
         return 0
 
+    client = _client(args)
     if args.action == "list":
-        filters = dict(
+        records = client.runs(
             scenario=args.scenario, status=args.status,
             seed=args.seed, experiment=args.experiment,
             epoch_plan=args.epoch_plan, limit=args.limit,
         )
-        if args.url is not None:
-            records = _client(args).runs(**filters)
-        else:
-            records = [
-                r.as_dict() for r in _repository(args).runs(**filters)
-            ]
         if args.json:
             print(json.dumps(records, indent=2))
             return 0
@@ -481,23 +449,11 @@ def _runs(args) -> int:
         return 0
 
     if args.action == "show":
-        if args.url is not None:
-            manifest = _client(args).run(args.run_id)
-        else:
-            manifest = _repository(args).load_run(args.run_id).manifest
-        print(json.dumps(manifest, indent=2))
+        print(json.dumps(client.run(args.run_id), indent=2))
         return 0
 
     # compare
-    if args.url is not None:
-        diff = _client(args).compare(args.a, args.b)
-    else:
-        from repro.service.compare import compare_runs
-
-        repository = _repository(args)
-        diff = compare_runs(
-            repository.load_run(args.a), repository.load_run(args.b)
-        )
+    diff = client.compare(args.a, args.b)
     if args.json:
         print(json.dumps(diff, indent=2))
         return 0
@@ -518,10 +474,19 @@ def _report(args) -> int:
     from repro.service.repository import RunRepository
 
     with RunRepository(args.root, bench_paths=args.bench) as store:
-        if args.rebuild:
-            store.rebuild()
-        else:
-            store.scan()
+        scan = store.rebuild() if args.rebuild else store.scan()
+        # A bench file under <root>/bench/ is skipped with a warning;
+        # one named on the command line must be read, or --check
+        # would pass on a trajectory it never saw.
+        named = {str(path) for path in store.bench_paths}
+        unread = [
+            f"{entry['path']} ({entry['reason']})"
+            for entry in scan.skipped_benches if entry["path"] in named
+        ]
+        if unread:
+            raise ServiceError(
+                "cannot read --bench file(s): " + "; ".join(unread)
+            )
         reports = check_store(store) if args.check else None
         if args.json:
             payload = {

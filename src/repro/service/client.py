@@ -1,20 +1,23 @@
-"""A thin urllib client for the service API.
+"""A thin client for the service API.
 
-The CLI's ``--url`` mode and the smoke scripts talk to a running
-``repro serve`` through this; it is deliberately dumb — JSON in, JSON
-out, every transport or HTTP failure surfaced as a
-:class:`~repro.service.errors.ServiceError` so the CLI can map the
-whole family to its service exit code.
+The CLI and the smoke scripts talk to the service through this; it is
+deliberately dumb — JSON in, JSON out, every transport failure or
+error status surfaced as a :class:`~repro.service.errors.ServiceError`
+so the CLI can map the whole family to its service exit code.
+:class:`ServiceClient` speaks HTTP to a running ``repro serve``;
+:class:`LocalServiceClient` hands the same requests to an in-process
+:class:`~repro.service.api.ServiceAPI` over a local root.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 from urllib.error import HTTPError, URLError
 from urllib.parse import urlencode
 from urllib.request import Request, urlopen
 
+from repro.service.api import encode_payload
 from repro.service.errors import ServiceError
 
 
@@ -39,39 +42,43 @@ class ServiceClient:
             for name, value in (params or {}).items()
             if value is not None
         }
-        url = self.base_url + path
-        if query:
-            url += "?" + urlencode(query)
-        data = (
-            json.dumps(body).encode() if body is not None else None
-        )
+        target = path + ("?" + urlencode(query) if query else "")
+        data = json.dumps(body).encode() if body is not None else None
+        status, content_type, raw = self._send(method, target, data)
+        if status >= 400:
+            detail = ""
+            try:
+                detail = json.loads(raw).get("error", "")
+            except (ValueError, AttributeError):
+                pass  # not a {"error": ...} body: report the status only
+            raise ServiceError(
+                f"{method} {self.base_url + target} failed: HTTP {status}"
+                + (f" — {detail}" if detail else "")
+            )
+        if content_type == "application/json":
+            return json.loads(raw)
+        return raw.decode()
+
+    def _send(
+        self, method: str, target: str, data: Optional[bytes]
+    ) -> Tuple[int, str, bytes]:
+        """One exchange: ``(status, content type, body bytes)``."""
         request = Request(
-            url, data=data, method=method,
+            self.base_url + target, data=data, method=method,
             headers={"Content-Type": "application/json"},
         )
         try:
             with urlopen(request, timeout=self.timeout) as response:
-                raw = response.read()
                 content_type = response.headers.get_content_type()
+                return response.status, content_type, response.read()
         except HTTPError as error:
-            detail = ""
-            try:
-                payload = json.loads(error.read())
-                detail = payload.get("error", "")
-            except Exception:
-                pass
-            raise ServiceError(
-                f"{method} {url} failed: HTTP {error.code}"
-                + (f" — {detail}" if detail else "")
-            ) from None
+            # Error bodies are {"error": ...} JSON (see ServiceAPI).
+            return error.code, "application/json", error.read()
         except URLError as error:
             raise ServiceError(
                 f"cannot reach service at {self.base_url}: "
                 f"{error.reason}"
             ) from None
-        if content_type == "application/json":
-            return json.loads(raw)
-        return raw.decode()
 
     # -- endpoints -----------------------------------------------------
 
@@ -138,3 +145,26 @@ class ServiceClient:
 
     def scan(self) -> dict:
         return self._request("/scan", method="POST")
+
+
+class LocalServiceClient(ServiceClient):
+    """The same client over the daemon's route handlers, in process.
+
+    ``repro jobs|runs --root`` uses this: each request goes through
+    :meth:`ServiceAPI.handle` and the HTTP response encoding, so a
+    command prints the same bytes whether it runs against a root or a
+    daemon serving that root.  Paths are served in process, so the
+    base URL is empty.
+    """
+
+    def __init__(self, api):
+        super().__init__("")
+        self.api = api
+
+    def _send(
+        self, method: str, target: str, data: Optional[bytes]
+    ) -> Tuple[int, str, bytes]:
+        status, content_type, payload = self.api.handle(
+            method, target, data
+        )
+        return status, content_type, encode_payload(content_type, payload)

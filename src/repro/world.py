@@ -241,29 +241,33 @@ class World:
             self._next_rank += 1
         return self._deploy_window
 
-    def _note_traffic_domain(self, deployed: DeployedDomain) -> bool:
-        """One domain's slice of the batch :meth:`traffic_domains` loop.
+    def _add_traffic_domain(
+        self, plan: DomainPlan, seen: set, into: List[TrafficDomain], rng
+    ) -> bool:
+        """Append the capture's view of one domain to ``into``; returns
+        whether the capture sees it.
 
-        Called once per deployed domain *in deploy order*, it consumes
-        the same ``capture/domains`` draws a whole-list pass would (the
-        stream registry memoizes, so both modes advance one shared
-        generator), and returns whether the capture will revisit the
-        domain — the retention decision for its zone.
+        A notable with a capture share gets six hostnames and its byte
+        share; a capture-only domain, or one that wins its
+        ``capture/domains`` draw against ``capture_visibility``, gets
+        four.  A domain in ``seen`` is skipped; a chosen one joins it.
+        Both the batch :meth:`traffic_domains` pass and a releasing
+        build (for which the answer is the zone's retention decision)
+        call this once per domain *in deploy order* with the
+        ``capture/domains`` stream, so both consume the same draws: the
+        stream registry memoizes, and both modes advance one shared
+        generator.
         """
-        rng = self.streams.stream("capture", "domains")
-        plan = deployed.plan
-        if not plan.is_cloud_using or plan.domain in self._traffic_seen:
+        if not plan.is_cloud_using or plan.domain in seen:
             return False
         cloud_subs = plan.cloud_subdomains()
         if not cloud_subs:
             return False
-        provider = (
-            "azure" if plan.category.startswith("azure") else "ec2"
-        )
+        provider = "azure" if plan.category.startswith("azure") else "ec2"
         notable = plan.notable
         capture_only = plan.rank is None and notable is None
         if notable is not None and notable.capture_share > 0:
-            self._traffic.append(TrafficDomain(
+            into.append(TrafficDomain(
                 domain=plan.domain,
                 provider=provider,
                 hostnames=[s.fqdn for s in cloud_subs[:6]],
@@ -271,17 +275,16 @@ class World:
                 https_fraction=notable.https_fraction,
                 storage_profile=notable.https_fraction > 0.8,
             ))
-            self._traffic_seen.add(plan.domain)
-            return True
-        if capture_only or rng.random() < self.config.capture_visibility:
-            self._traffic.append(TrafficDomain(
+        elif capture_only or rng.random() < self.config.capture_visibility:
+            into.append(TrafficDomain(
                 domain=plan.domain,
                 provider=provider,
                 hostnames=[s.fqdn for s in cloud_subs[:4]],
             ))
-            self._traffic_seen.add(plan.domain)
-            return True
-        return False
+        else:
+            return False
+        seen.add(plan.domain)
+        return True
 
     def release_window(self) -> int:
         """Decide capture retention for the deploy window and release
@@ -299,7 +302,10 @@ class World:
         for deployed in self._deploy_window:
             domain = deployed.plan.domain
             window_domains.append(domain)
-            keep = self._note_traffic_domain(deployed)
+            keep = self._add_traffic_domain(
+                deployed.plan, self._traffic_seen, self._traffic,
+                self.streams.stream("capture", "domains"),
+            )
             if keep or deployed.plan.notable is not None:
                 # Notables can share a zone with cloud service
                 # infrastructure (msecnd.net is the Azure CDN's zone);
@@ -343,7 +349,10 @@ class World:
         tail = self.deployer.deploy_all(self.capture_only_plans)
         if self._released_tenants:
             for deployed in tail:
-                self._note_traffic_domain(deployed)
+                self._add_traffic_domain(
+                    deployed.plan, self._traffic_seen, self._traffic,
+                    self.streams.stream("capture", "domains"),
+                )
             # Capture-only zones stay (the capture digs them); only the
             # deployer's per-domain bookkeeping is reclaimed.
             self.deployer.release_domains(
@@ -477,32 +486,5 @@ class World:
         result: List[TrafficDomain] = []
         seen = set()
         for deployed in self.deployed:
-            plan = deployed.plan
-            if not plan.is_cloud_using or plan.domain in seen:
-                continue
-            cloud_subs = plan.cloud_subdomains()
-            if not cloud_subs:
-                continue
-            provider = (
-                "azure" if plan.category.startswith("azure") else "ec2"
-            )
-            notable = plan.notable
-            capture_only = plan.rank is None and notable is None
-            if notable is not None and notable.capture_share > 0:
-                result.append(TrafficDomain(
-                    domain=plan.domain,
-                    provider=provider,
-                    hostnames=[s.fqdn for s in cloud_subs[:6]],
-                    byte_share=notable.capture_share,
-                    https_fraction=notable.https_fraction,
-                    storage_profile=notable.https_fraction > 0.8,
-                ))
-                seen.add(plan.domain)
-            elif capture_only or rng.random() < self.config.capture_visibility:
-                result.append(TrafficDomain(
-                    domain=plan.domain,
-                    provider=provider,
-                    hostnames=[s.fqdn for s in cloud_subs[:4]],
-                ))
-                seen.add(plan.domain)
+            self._add_traffic_domain(deployed.plan, seen, result, rng)
         return result

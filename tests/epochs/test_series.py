@@ -118,8 +118,6 @@ class TestSeriesOutputs:
         clouds = [s.cloud_domains for s in snapshots]
         # steady-growth only adds cloud users.
         assert clouds[0] < clouds[1] < clouds[2]
-        # Snapshots never retain datasets inside a series.
-        assert all(s.dataset is None for s in snapshots)
 
     def test_only_epoch_zero_exports_the_release(self, series_env):
         cold = series_env["cold"]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dns.records import RRType
+from repro.dns.resolver import StubResolver
 from repro.epochs.steps import (
     AFFECT_KINDS,
     STEP_TYPES,
@@ -132,6 +133,44 @@ class TestApply:
             for fqdn in diff.subdomains:
                 if fqdn.endswith("." + plan.domain):
                     assert not zone.lookup(fqdn, RRType.A)
+
+    def test_adopted_subdomains_resolve_into_ec2(self, world):
+        diff = CloudAdoption(count=5).apply(world, _rng("1", "0", "adopt"))
+        assert len(diff.subdomains) == 5
+        resolver = StubResolver(world.dns)
+        ec2 = world.ec2.published_range_set()
+        for fqdn in diff.subdomains:
+            response = resolver.dig(fqdn)
+            assert any(a in ec2 for a in response.addresses)
+
+    def test_expanded_front_end_gets_a_second_region(self, world):
+        diff = RegionExpansion(count=5).apply(
+            world, _rng("1", "1", "expand")
+        )
+        assert len(diff.subdomains) == 5
+        expanded = [
+            s for p in world.plans for s in p.cloud_subdomains()
+            if s.fqdn in diff.subdomains
+        ]
+        assert len(expanded) == 5
+        for sub in expanded:
+            assert sub.frontend == "vm"
+            assert len(sub.regions) == 2
+            assert sub.regions[0] != sub.regions[1]
+
+    def test_migrated_subdomains_stop_answering_from_azure(self, world):
+        diff = MigrationToEc2(count=2).apply(
+            world, _rng("1", "2", "migrate")
+        )
+        assert len(diff.subdomains) == 2
+        resolver = StubResolver(world.dns)
+        azure = world.azure.published_range_set()
+        ec2 = world.ec2.published_range_set()
+        for fqdn in diff.subdomains:
+            response = resolver.dig(fqdn, fresh=True)
+            assert response.addresses
+            assert all(a not in azure for a in response.addresses)
+            assert all(a in ec2 for a in response.addresses)
 
     def test_migration_to_ec2_count_clamps_to_candidates(self):
         world = World(WorldConfig(seed=11, num_domains=200))

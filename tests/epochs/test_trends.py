@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.epochs.trends import TrendContext, run_trends, trend_specs
-from repro.evolution import Snapshot
+from repro.epochs.trends import (
+    Snapshot,
+    TrendContext,
+    run_trends,
+    trend_specs,
+)
 
 
 def _snapshot(epoch, cloud, **overrides):
@@ -64,3 +68,4 @@ def test_consolidation_handles_empty_regions():
     measured = by_id["trend-consolidation"]["measured"]
     assert measured["top_region_share_last_pct"] == 0.0
     assert measured["top3_region_share_last_pct"] == 0.0
+

@@ -192,7 +192,31 @@ def test_fresh_repository_over_existing_index(repo_root):
         assert _snapshot(second) == before
 
 
-def test_corrupt_dirs_are_skipped_with_a_warning(repository, caplog):
+def _truncate(path, keep=300):
+    """Cut a file to its first ``keep`` bytes, as a crashed writer or
+    a full disk leaves it."""
+    path.write_bytes(path.read_bytes()[:keep])
+    return path
+
+
+def _truncated_series(root):
+    (series_dir,) = root.glob("series-*")
+    _truncate(series_dir / "series.json")
+    return "skipped_series", str(series_dir)
+
+
+def _truncated_bench(root):
+    return "skipped_benches", str(_truncate(root / "bench" / "job-0.json"))
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(None, id="run-dirs"),
+    pytest.param(_truncated_series, id="truncated-series"),
+    pytest.param(_truncated_bench, id="truncated-bench"),
+])
+def test_corrupt_dirs_are_skipped_with_a_warning(
+    repository, caplog, damage
+):
     root = repository.root
     (root / "run-badjson000000").mkdir()
     (root / "run-badjson000000" / "manifest.json").write_text("{nope")
@@ -206,9 +230,13 @@ def test_corrupt_dirs_are_skipped_with_a_warning(repository, caplog):
     (root / "run-mismatched00" / "manifest.json").write_text(
         json.dumps(stolen)
     )
+    expected = {"skipped_series": [], "skipped_benches": []}
+    if damage is not None:
+        kind, path = damage(root)
+        expected[kind] = [path]
     with caplog.at_level(logging.WARNING):
         report = repository.scan()
-    skipped_paths = {entry["path"] for entry in report.skipped}
+    skipped_paths = {entry["path"] for entry in report.skipped_runs}
     assert len(skipped_paths) == 3
     assert report.runs == 4  # the healthy tree is fully indexed
     assert any("skipping run dir" in r.message for r in caplog.records)
@@ -217,7 +245,17 @@ def test_corrupt_dirs_are_skipped_with_a_warning(repository, caplog):
     assert "run-badjson000000" not in indexed
     assert "run-mismatched00" not in indexed
     assert len(repository.entries(source="run")) == 4
-    assert report.as_dict()["timeline"]["skipped"] == report.skipped
+    assert report.as_dict()["timeline"]["skipped"] == (
+        report.skipped_runs + report.skipped_benches
+    )
+    # A truncated series or bench file is named in its own list, and
+    # every other source stays indexed.
+    assert {
+        kind: [entry["path"] for entry in getattr(report, kind)]
+        for kind in expected
+    } == expected
+    assert report.series == 1 - len(expected["skipped_series"])
+    assert report.benches == 1 - len(expected["skipped_benches"])
 
 
 def test_get_run_falls_back_to_disk(repo_root):

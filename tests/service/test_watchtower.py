@@ -286,3 +286,52 @@ def test_bench_job_runs_the_sentinel(repository, monkeypatch):
     assert record.outcome["regression_status"] == verdicts["status"]
     assert len(verdicts["reports"]) == 1
     assert repository.counts()["bench_entries"] == 2
+
+
+# -- repro report ------------------------------------------------------
+
+
+def _truncated_bench(tmp_path):
+    whole = json.dumps(_bench_payload(), indent=2)
+    path = tmp_path / "BENCH_truncated.json"
+    path.write_text(whole[:200])
+    return path
+
+
+@pytest.mark.parametrize("rebuild", [False, True], ids=["scan", "rebuild"])
+@pytest.mark.parametrize("check", [False, True], ids=["render", "check"])
+def test_report_refuses_unreadable_bench_paths(
+    tmp_path, capsys, rebuild, check
+):
+    """A --bench file that cannot be read is a service error (exit 4),
+    never an empty report or a --check that passed on nothing."""
+    from repro.service.cli import EXIT_SERVICE, service_main
+
+    truncated = _truncated_bench(tmp_path)
+    missing = tmp_path / "no-such-bench.json"
+    argv = [
+        "report", "--root", str(tmp_path / "svc"),
+        "--bench", str(truncated), "--bench", str(missing),
+    ]
+    argv += ["--rebuild"] * rebuild + ["--check"] * check
+    assert service_main(argv) == EXIT_SERVICE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(truncated) in captured.err
+    assert str(missing) in captured.err
+    assert "No such file" in captured.err
+
+
+def test_report_still_skips_unreadable_root_benches(tmp_path, capsys):
+    """Files found under <root>/bench/ keep the skip-and-warn contract."""
+    from repro.service.cli import service_main
+
+    root = tmp_path / "svc"
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "job-0.json").write_text(
+        json.dumps(_bench_payload())
+    )
+    (root / "bench" / "job-1.json").write_text("{trunc")
+    assert service_main(["report", "--root", str(root), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["counts"]["bench_entries"] == 2

@@ -1,126 +1,74 @@
-"""Tests for world evolution and longitudinal tracking."""
+"""Tests for world evolution and longitudinal tracking.
+
+A world evolves through the epoch steps of :mod:`repro.epochs.steps`
+and an :class:`~repro.epochs.plan.Epoch`'s virtual clock; each epoch is
+tracked by a :class:`~repro.epochs.trends.Snapshot` summary.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.evolution import LongitudinalStudy, WorldEvolution
+from repro.analysis.dataset import DatasetBuilder
+from repro.epochs.plan import Epoch, EpochPlan
+from repro.epochs.steps import CloudAdoption
+from repro.epochs.trends import Snapshot, take_world_snapshot
+from repro.sim import derive_rng
 from repro.world import World, WorldConfig
+
+SEED = 29
 
 
 @pytest.fixture(scope="module")
 def evolving_world():
-    return World(WorldConfig(seed=29, num_domains=800))
+    return World(WorldConfig(seed=SEED, num_domains=800))
 
 
 class TestEvolutionSteps:
     def test_adopt_cloud_converts_domains(self, evolving_world):
-        evo = WorldEvolution(evolving_world)
         before = sum(
             1 for p in evolving_world.plans if p.is_cloud_using
         )
-        adopted = evo.adopt_cloud(10)
+        diff = CloudAdoption(count=10).apply(
+            evolving_world, derive_rng(SEED, "epoch", "1", "0", "adopt")
+        )
         after = sum(
             1 for p in evolving_world.plans if p.is_cloud_using
         )
-        assert adopted == 10
+        assert len(diff.domains) == 10
         assert after == before + 10
 
-    def test_adopted_subdomains_resolve_to_ec2(self, evolving_world):
-        from repro.dns.resolver import StubResolver
-        evo = WorldEvolution(evolving_world)
-        evo.adopt_cloud(5)
-        resolver = StubResolver(evolving_world.dns)
-        ranges = evolving_world.ec2.published_range_set()
-        newly_cloud = [
-            p for p in evolving_world.plans
-            if p.is_cloud_using and p.category == "ec2_other"
-            and any(s.frontend == "vm" and s.fqdn.startswith(
-                ("app.", "api.", "beta.", "cloud.")
-            ) for s in p.subdomains)
-        ]
-        assert newly_cloud
-        plan = newly_cloud[-1]
-        sub = next(
-            s for s in plan.subdomains
-            if s.fqdn.startswith(("app.", "api.", "beta.", "cloud."))
+    def test_advance_epoch_moves_clock(self):
+        plan = EpochPlan(
+            name="idle",
+            description="no steps; only the clock moves",
+            recipe=lambda epoch, n: (),
+            epoch_seconds=1000.0,
         )
-        response = resolver.dig(sub.fqdn)
-        assert any(a in ranges for a in response.addresses)
-
-    def test_expand_to_second_region(self, evolving_world):
-        evo = WorldEvolution(evolving_world)
-        expanded = evo.expand_to_second_region(5)
-        assert expanded == 5
-        multi = [
-            s for p in evolving_world.plans
-            for s in p.cloud_subdomains()
-            if s.frontend == "vm" and len(s.regions) == 2
-        ]
-        assert len(multi) >= 5
-
-    def test_migrate_to_ec2_replaces_records(self, evolving_world):
-        from repro.dns.resolver import StubResolver
-        evo = WorldEvolution(evolving_world)
-        migrated = evo.migrate_to_ec2(2)
-        if migrated == 0:
-            pytest.skip("world too small: no Azure CS subdomains")
-        resolver = StubResolver(evolving_world.dns)
-        azure = evolving_world.azure.published_range_set()
-        moved = [
-            s for p in evolving_world.plans
-            for s in p.cloud_subdomains()
-            if s.provider == "ec2" and s.frontend == "vm"
-            and s.n_vms == 1 and len(s.regions) == 1
-        ]
-        assert moved
-        # None of a migrated subdomain's answers stay in Azure.
-        for sub in moved[-migrated:]:
-            response = resolver.dig(sub.fqdn, fresh=True)
-            assert all(a not in azure for a in response.addresses)
-
-    def test_advance_epoch_moves_clock(self, evolving_world):
-        evo = WorldEvolution(evolving_world)
-        before = evolving_world.clock.now
-        evo.advance_epoch(1000.0)
-        assert evolving_world.clock.now == before + 1000.0
+        config = WorldConfig(seed=SEED, num_domains=200)
+        assert Epoch(plan, 0, config).build_world().clock.now == 0.0
+        world = Epoch(plan, 3, config).build_world()
+        assert world.clock.now == 3 * 1000.0
 
 
 class TestLongitudinalStudy:
-    def test_drift_captures_growth(self):
-        world = World(WorldConfig(seed=31, num_domains=600))
-        study = LongitudinalStudy(world)
-        first = study.take_snapshot("t0")
-        evo = WorldEvolution(world)
-        adopted = evo.adopt_cloud(12)
-        evo.advance_epoch()
-        second = study.take_snapshot("t1")
-        drift = LongitudinalStudy.drift(first, second)
-        assert drift.domains_added == adopted
-        assert drift.subdomains_added >= adopted
-        # Snapshots are stamped with simulation virtual time (never
-        # wall clock), so the epoch advance is exactly visible.
-        assert second.virtual_time_s > first.virtual_time_s
-        assert second.epoch == first.epoch + 1
-
-    def test_snapshot_drops_dataset_by_default(self):
+    @pytest.fixture(scope="class")
+    def snapshot(self):
         world = World(WorldConfig(seed=37, num_domains=300))
-        study = LongitudinalStudy(world)
-        snapshot = study.take_snapshot("only")
-        # Holding the full dataset per epoch would defeat the
-        # streaming plane's constant-memory budget.
-        assert snapshot.dataset is None
+        return take_world_snapshot(
+            world, DatasetBuilder(world).build(), "only"
+        )
+
+    def test_snapshot_drops_dataset_by_default(self, snapshot):
+        # Holding the full dataset per epoch would defeat a long
+        # series' constant-memory budget.
+        fields = {f.name for f in dataclasses.fields(Snapshot)}
+        assert "dataset" not in fields
+        assert not hasattr(snapshot, "dataset")
         assert snapshot.cloud_subdomains > 0
         assert "EC2 only" in snapshot.provider_domains
 
-    def test_snapshot_retains_dataset_on_request(self):
-        world = World(WorldConfig(seed=37, num_domains=300))
-        study = LongitudinalStudy(world, retain_datasets=True)
-        snapshot = study.take_snapshot("debug")
-        assert snapshot.dataset is not None
-        assert snapshot.cloud_subdomains == len(snapshot.dataset)
-
-    def test_snapshot_as_dict_is_summary_only(self):
-        world = World(WorldConfig(seed=37, num_domains=300))
-        snapshot = LongitudinalStudy(world).take_snapshot("only")
+    def test_snapshot_as_dict_is_summary_only(self, snapshot):
         payload = snapshot.as_dict()
         assert "dataset" not in payload
         assert payload["virtual_time_s"] == 0.0
