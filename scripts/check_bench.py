@@ -17,7 +17,10 @@ every future trajectory.  This lint enforces the contract:
   non-decreasing along the trajectory (entries predating the stamps
   are allowed to omit them — only stamped suffixes are ordered);
 * the file-level ``digests`` block names the six pipeline digests as
-  16-char hashes.
+  16-char hashes;
+* the retired shapes are gone: no top-level ``baseline_timings_s`` or
+  ``speedup``, and no trajectory entry carries ``rss_peak_kib`` (peak
+  RSS is the ``rss_high_water_kib`` number).
 
 Usage::
 
@@ -45,6 +48,8 @@ REQUIRED_DIGESTS = (
     "records", "ns_addresses", "wan_latency", "wan_throughput",
     "trace", "isp_diversity",
 )
+RETIRED_TOP_KEYS = ("baseline_timings_s", "speedup")
+RETIRED_ENTRY_KEYS = ("rss_peak_kib",)
 
 _FINGERPRINT = re.compile(r"^[0-9a-f]{12}$")
 _DIGEST = re.compile(r"^[0-9a-f]{16}$")
@@ -63,6 +68,9 @@ def check_bench_payload(path: Path, payload: object) -> list:
     for key in REQUIRED_TOP_KEYS:
         if key not in payload:
             problem(f"missing top-level key {key!r}")
+    for key in RETIRED_TOP_KEYS:
+        if key in payload:
+            problem(f"carries the retired key {key!r}")
     bench = payload.get("bench")
     if isinstance(bench, dict):
         for key in REQUIRED_BENCH_KEYS:
@@ -90,6 +98,9 @@ def check_bench_payload(path: Path, payload: object) -> list:
         if not isinstance(entry, dict):
             problem(f"{where} is not an object")
             continue
+        for key in RETIRED_ENTRY_KEYS:
+            if key in entry:
+                problem(f"{where} carries the retired key {key!r}")
         fingerprint = entry.get("fingerprint")
         if not isinstance(fingerprint, str) or not _FINGERPRINT.match(
             fingerprint

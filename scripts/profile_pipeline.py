@@ -1,23 +1,26 @@
 """Time the measurement pipeline at bench scale; write BENCH_pipeline.json.
 
-Runs the five pipeline stages — world construction, the Alexa
-subdomains dataset, the campus packet capture, the §5 WAN campaign,
-and the §5.2 traceroute sweep — end to end, records per-stage wall
-times (with per-step timings inside the dataset stage and
-per-engine-campaign timings from :mod:`repro.campaign`), and digests
-the stage outputs — all four probe kinds the engine schedules — so two
-runs (or two revisions, or two worker counts) can be compared for
-bit-identical results as well as speed.  Usage:
+Every pass builds one :class:`~repro.experiments.ExperimentContext`
+(the object ``repro`` runs) from one ``WorldConfig``, capture
+included, and measures its five pipeline stages — world construction,
+the Alexa subdomains dataset, the campus packet capture, the §5 WAN
+campaign, and the §5.2 traceroute sweep — end to end.  It records
+per-stage wall times (with per-step timings inside the dataset stage
+and per-engine-campaign timings from :mod:`repro.campaign`), per-stage
+RSS, and digests of the stage outputs — all four probe kinds the
+engine schedules — so two runs (or two revisions, or two worker
+counts) can be compared for bit-identical results as well as speed.
+Usage:
 
     PYTHONPATH=src python scripts/profile_pipeline.py \
         [--scale seed|mid|paper] \
         [--seed S] [--domains N] [--wan-rounds R] [--workers W] \
-        [--clients C] [--chunk-size N] [--no-streaming] \
-        [--max-rss-mib M] \
-        [--verify-workers "0,2,4"] [--repeat K] \
-        [--no-columnar | --compare-scalar] \
-        [--cache-dir DIR | --no-cache-check] \
-        [--epochs N] [--epoch-plan NAME] [--out BENCH_pipeline.json]
+        [--no-streaming] [--max-rss-mib M] \
+        [--verify-workers "0,2,4"] [--repeat K] [--compare-scalar] \
+        [--no-cache-check] [--epochs N] [--epoch-plan NAME] \
+        [--baseline FILE [--require-baseline-identical]] \
+        [--trace-out F] [--metrics-out F] [--events-out F] \
+        [--out BENCH_pipeline.json]
 
 ``--scale`` picks a domain-count tier — ``seed`` (2.5k, the committed
 bench), ``mid`` (100k), ``paper`` (1M, the paper's top-1M crawl) — and
@@ -25,26 +28,22 @@ a matching default ``--out`` file, so each tier keeps its own
 trajectory; explicit ``--domains``/``--out`` override the tier.  Each
 tier also scales the campus capture (client population, flow and byte
 budgets; the seed tier keeps the committed defaults so its digests
-hold); ``--clients`` overrides the tier's client count.
-``--workers`` drives both parallel campaigns (dataset shards and WAN
-rounds).  By default the pipeline builds a deferred world, whose
-forked chunk build releases tenant state as it goes (see
-docs/PERFORMANCE.md); ``--no-streaming`` builds a batch world instead,
-with identical digests.  Either way the capture stage generates the
-trace ``ExperimentContext`` analyses (``World.capture_trace``).
-``--chunk-size`` bounds the ranks a deferred world deploys per chunk,
-and ``--max-rss-mib`` fails the run when the process's true peak RSS
-exceeds the budget (the CI memory gate).  ``--verify-workers`` re-runs
-the whole pipeline per worker count and fails unless every digest
-agrees.  ``--no-columnar`` runs the whole pipeline with the columnar
-data plane disabled (the scalar reference paths); ``--compare-scalar``
-additionally runs that scalar pipeline after the main one, fails
-unless every digest is identical, and records per-stage
-scalar-vs-columnar speedups.  Unless
-``--no-cache-check`` is given, the script also runs the pipeline twice
-through the artifact cache — a cold run that populates it and a warm
-run that must be served entirely from it — and fails unless both match
-the uncached digests.
+hold).  ``--workers`` drives both parallel campaigns (dataset shards
+and WAN rounds).  By default the context builds a deferred world
+(``ExperimentContext(defer_tenants=True)``), whose forked chunk build
+releases tenant state as it goes (see docs/PERFORMANCE.md);
+``--no-streaming`` builds the batch world ``repro`` builds, with
+identical digests.  ``--max-rss-mib`` fails the run when the process's
+true peak RSS exceeds the budget (the CI memory gate).
+``--verify-workers`` re-runs the whole pipeline per worker count and
+fails unless every digest agrees.  ``--compare-scalar`` also runs the
+pipeline with the columnar data plane disabled (the scalar reference
+paths), fails unless every digest is identical, and records per-stage
+scalar-vs-columnar speedups.  Unless ``--no-cache-check`` is given,
+the script also runs the pipeline twice through a throwaway artifact
+cache — a cold run that populates it and a warm run that must be
+served entirely from it — and fails unless both match the uncached
+digests.
 
 With ``--repeat K`` each stage's reported time is the best of K full
 pipeline runs (the digests must agree across runs, and do — caching is
@@ -59,15 +58,17 @@ epoch 0 must reproduce the single-shot digests bit-for-bit, and every
 later epoch must be served at least partly from the cache (the epoch
 fingerprints must reuse unchanged artifact kinds).
 
-All timings come from the :mod:`repro.obs` tracer (the same spans the
-run manifest exports), not ad-hoc stopwatch dicts.  Before overwriting
-``--out``, the script compares the fresh stage times against the
-committed file and warns on any stage that regressed by more than
-20%; the committed file's ``trajectory`` (one entry per code
-fingerprint) is carried forward and extended, so the bench records the
-repo's performance history alongside its current numbers.
-``--trace-out``/``--metrics-out``/``--events-out`` export the first
-run's instrumentation, as in ``repro-experiments``.
+Every pass records its own ``rss_kib`` block, so the bench file shows
+which pass set the invocation's peak.  All timings come from the
+:mod:`repro.obs` tracer (the context's own ``stage`` spans, plus the
+WAN and traceroute spans this script opens), not ad-hoc stopwatch
+dicts.  Before overwriting ``--out``, the script compares the fresh
+stage times against the committed file and warns on any stage that
+regressed by more than 20%; the committed file's ``trajectory`` (one
+entry per code fingerprint) is carried forward and extended, so the
+bench records the repo's performance history alongside its current
+numbers.  ``--trace-out``/``--metrics-out``/``--events-out`` export the
+first run's instrumentation, as in ``repro-experiments``.
 """
 
 from __future__ import annotations
@@ -82,18 +83,17 @@ import shutil
 import sys
 import tempfile
 import time
-from types import SimpleNamespace
+from contextlib import contextmanager
 
-from repro.analysis.dataset import DatasetBuilder
-from repro.analysis.wan import WanAnalysis, WanConfig
+from repro.analysis.wan import WanConfig
 from repro.artifacts import ArtifactStore
 from repro.artifacts.keys import code_fingerprint
 from repro.capture.generator import CaptureConfig
 from repro.experiments.context import ExperimentContext
-from repro.flags import set_chunk_size, set_columnar_enabled
+from repro.flags import set_columnar_enabled
 from repro.obs import Observability
 from repro.sim import set_rng_observer
-from repro.world import World, WorldConfig
+from repro.world import WorldConfig
 
 #: A stage must slow down by more than this (vs the committed bench)
 #: before the script warns about it.
@@ -164,24 +164,8 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-def _pipeline_digests(products, isp=None) -> dict:
-    """The six bench digests of one pipeline run.
-
-    ``products`` is an :class:`ExperimentContext`, or anything with its
-    ``dataset``, ``wan`` and ``trace`` attributes, read in that order
-    (the WAN campaign runs before the capture is read).  The traceroute
-    sweep runs last unless ``isp`` already holds its result: the sweep
-    launches probe instances, so it must not run twice.  On a warm
-    context it is what materializes the world and drains the queued
-    side-effect replays — exercising the pure-accelerator rule end to
-    end.
-    """
-    dataset = products.dataset
-    wan = products.wan
-    wan._measure()
-    trace = products.trace
-    if isp is None:
-        isp = wan.isp_diversity()
+def _pipeline_digests(dataset, wan, trace, isp) -> dict:
+    """The six bench digests of one pass's products."""
     records = sorted(
         (
             record.fqdn,
@@ -223,79 +207,6 @@ def _pipeline_digests(products, isp=None) -> dict:
     }
 
 
-def run_once(
-    seed: int, domains: int, wan_rounds: int, workers: int,
-    collect_events: bool = False, columnar: bool = True,
-    streaming: bool = True, capture: CaptureConfig = None,
-) -> dict:
-    """One full pipeline run: tracer-derived stage timings plus output
-    digests (and the run's :class:`~repro.obs.Observability` plane).
-
-    ``columnar=False`` forces the scalar reference paths and
-    ``streaming=False`` a batch world (every tenant deployed up front)
-    for the whole run — outputs, and the probe event log, must be
-    bit-identical any way around.  Whether a deferred world's dataset
-    build forks is the builder's decision
-    (:meth:`DatasetBuilder.can_shard`).  Both worlds generate the full
-    capture trace; the capture emits no events."""
-    obs = Observability.collecting(events=collect_events)
-    tracer = obs.tracer
-    previous_observer = obs.install_rng_counter()
-    previous_columnar = set_columnar_enabled(columnar)
-    config = WorldConfig(
-        seed=seed, num_domains=domains,
-        capture=capture if capture is not None else CaptureConfig(),
-    )
-    rss = {}
-
-    def stage(name):
-        return _StageRss(tracer, name, rss)
-
-    try:
-        with stage("world"):
-            world = World(config, defer_tenants=streaming)
-
-        with stage("dataset"):
-            builder = DatasetBuilder(world, obs=obs)
-            dataset = builder.build(workers=workers)
-
-        with stage("capture"):
-            trace = world.capture_trace()
-
-        wan = WanAnalysis(
-            world, WanConfig(rounds=wan_rounds, workers=workers),
-            obs=obs,
-        )
-        with stage("wan"):
-            wan._measure()
-
-        with stage("traceroute"):
-            isp = wan.isp_diversity()
-    finally:
-        set_columnar_enabled(previous_columnar)
-        set_rng_observer(previous_observer)
-
-    timings = {
-        f"{name}_s": seconds
-        for name, seconds in tracer.seconds_by_name("stage").items()
-    }
-    timings["total_s"] = sum(timings.values())
-
-    digests = _pipeline_digests(
-        SimpleNamespace(dataset=dataset, wan=wan, trace=trace), isp
-    )
-    _, high_water = _rss_sample()
-    return {
-        "timings": timings,
-        "dataset_steps": tracer.seconds_by_name("dataset-step"),
-        "campaigns": tracer.seconds_by_name("campaign"),
-        "digests": digests,
-        "rss_kib": {"stages": rss, "high_water_kib": high_water},
-        "streaming": streaming,
-        "obs": obs,
-    }
-
-
 def _injected_stage_delay(name: str) -> float:
     """Fault injection for the regression-sentinel smoke test.
 
@@ -314,8 +225,10 @@ def _injected_stage_delay(name: str) -> float:
     return 0.0
 
 
-class _StageRss:
-    """Context manager pairing a stage tracer span with RSS sampling.
+@contextmanager
+def _sampled(name: str, into: dict):
+    """RSS sampling (and the injected delay) for one stage, run inside
+    that stage's tracer span.
 
     Records ``{"end_kib", "delta_kib", "hwm_raise_kib"}`` per stage —
     the resident set after the stage, how much the stage grew (or,
@@ -324,71 +237,120 @@ class _StageRss:
     for a stage that set a new peak, so the last stage with a raise is
     the one whose transient set the run's peak, even when that
     transient is gone by the stage's end.  The high-water mark itself
-    is reported once per run: ``VmHWM`` is monotone, so per-stage
+    is reported once per pass: ``VmHWM`` is monotone, so per-stage
     copies would just echo the peak.
     """
-
-    def __init__(self, tracer, name: str, into: dict):
-        self._tracer = tracer
-        self._name = name
-        self._into = into
-
-    def __enter__(self):
-        self._before, self._hwm_before = _rss_sample()
-        self._span = self._tracer.span(self._name, category="stage")
-        self._span.__enter__()
-        return self
-
-    def __exit__(self, *exc):
-        delay = _injected_stage_delay(self._name)
-        if delay:
-            time.sleep(delay)
-        result = self._span.__exit__(*exc)
-        end, hwm = _rss_sample()
-        self._into[self._name] = {
-            "end_kib": end, "delta_kib": end - self._before,
-            "hwm_raise_kib": hwm - self._hwm_before,
-        }
-        return result
-
-
-def run_cached(
-    seed: int, domains: int, wan_rounds: int, workers: int, cache_dir: str
-) -> dict:
-    """One pipeline run through the artifact cache."""
-    store = ArtifactStore(cache_dir)
-    context = ExperimentContext(
-        WorldConfig(seed=seed, num_domains=domains),
-        WanConfig(rounds=wan_rounds, workers=workers),
-        workers=workers,
-        artifact_store=store,
-    )
-    start = time.perf_counter()
-    digests = _pipeline_digests(context)
-    elapsed = time.perf_counter() - start
-    return {
-        "elapsed_s": round(elapsed, 3),
-        "stats": store.stats.as_dict(),
-        "digests": digests,
+    before, hwm_before = _rss_sample()
+    yield
+    delay = _injected_stage_delay(name)
+    if delay:
+        time.sleep(delay)
+    end, hwm = _rss_sample()
+    into[name] = {
+        "end_kib": end, "delta_kib": end - before,
+        "hwm_raise_kib": hwm - hwm_before,
     }
 
 
-def cache_check(args, expected_digests: dict) -> dict:
-    """Cold-vs-warm artifact-cache runs; both must match the uncached
-    digests and the warm run must be served without a single miss."""
-    cache_dir = args.cache_dir or tempfile.mkdtemp(
-        prefix="repro-artifacts-bench-"
-    )
-    cleanup = args.cache_dir is None
+class _SampledContext(ExperimentContext):
+    """An :class:`ExperimentContext` whose stage builds (world,
+    dataset, capture) also sample RSS, inside the context's own stage
+    spans and collector pause."""
+
+    def __init__(self, rss: dict, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rss = rss
+
+    @contextmanager
+    def _stage(self, name):
+        with super()._stage(name), _sampled(name, self.rss):
+            yield
+
+    @contextmanager
+    def campaign_stage(self, name):
+        """A stage the context does not open itself (``wan``,
+        ``traceroute``): its span and its RSS sample."""
+        with self.obs.tracer.span(name, category="stage"):
+            with _sampled(name, self.rss):
+                yield
+
+
+def measure(
+    config: WorldConfig, wan_rounds: int, workers: int, *,
+    deferred: bool = False, columnar: bool = True,
+    store: ArtifactStore | None = None, epoch=None,
+    events: bool = False,
+) -> dict:
+    """One pass: a fresh context's stages, timed, sampled and digested.
+
+    ``deferred`` builds a deferred world, ``columnar=False`` forces the
+    scalar reference paths, ``store`` serves the pass through an
+    artifact cache and ``epoch`` through a world timeline; outputs,
+    and the probe event log, must be bit-identical any way around.
+    The products are read in the order dataset → capture → WAN →
+    traceroute, so an uncached pass builds its world first and a warm
+    one materializes the world only for the traceroute sweep, which
+    then drains the queued side-effect replays (the pure-accelerator
+    rule, end to end).  Returns the stage timings, the dataset steps
+    and campaigns, the six digests, the pass's ``rss_kib`` and wall
+    clock, and its observability plane; the context itself is dropped.
+    """
+    obs = Observability.collecting(events=events)
+    previous_observer = obs.install_rng_counter()
+    previous_columnar = set_columnar_enabled(columnar)
+    rss = {}
     try:
-        result = {"dir": None if cleanup else cache_dir}
+        context = _SampledContext(
+            rss, config, WanConfig(rounds=wan_rounds, workers=workers),
+            workers=workers, artifact_store=store, obs=obs, epoch=epoch,
+            defer_tenants=deferred,
+        )
+        start = time.perf_counter()
+        dataset = context.dataset
+        trace = context.trace
+        wan = context.wan
+        with context.campaign_stage("wan"):
+            wan._measure()
+        with context.campaign_stage("traceroute"):
+            isp = wan.isp_diversity()
+        elapsed = time.perf_counter() - start
+        digests = _pipeline_digests(dataset, wan, trace, isp)
+    finally:
+        set_columnar_enabled(previous_columnar)
+        set_rng_observer(previous_observer)
+
+    tracer = obs.tracer
+    timings = {
+        f"{name}_s": seconds
+        for name, seconds in tracer.seconds_by_name("stage").items()
+    }
+    timings["total_s"] = sum(timings.values())
+    _, high_water = _rss_sample()
+    return {
+        "timings": timings,
+        "dataset_steps": tracer.seconds_by_name("dataset-step"),
+        "campaigns": tracer.seconds_by_name("campaign"),
+        "digests": digests,
+        "rss_kib": {"stages": rss, "high_water_kib": high_water},
+        "elapsed_s": round(elapsed, 3),
+        "obs": obs,
+    }
+
+
+def cache_check(args, config: WorldConfig, expected_digests: dict) -> dict:
+    """Cold-vs-warm artifact-cache passes; both must match the uncached
+    digests and the warm pass must be served without a single miss."""
+    cache_dir = tempfile.mkdtemp(prefix="repro-artifacts-bench-")
+    try:
+        result = {}
         for label in ("cold", "warm"):
-            run = run_cached(
-                args.seed, args.domains, args.wan_rounds, args.workers,
-                cache_dir,
+            store = ArtifactStore(cache_dir)
+            run = measure(
+                config, args.wan_rounds, args.workers, store=store
             )
             result[f"{label}_s"] = run["elapsed_s"]
-            result[f"{label}_stats"] = run["stats"]
+            result[f"{label}_stats"] = store.stats.as_dict()
+            result[f"{label}_rss_kib"] = run["rss_kib"]
             if run["digests"] != expected_digests:
                 raise SystemExit(
                     f"{label} artifact-cache run diverged from the "
@@ -403,15 +365,16 @@ def cache_check(args, expected_digests: dict) -> dict:
         result["outputs_identical"] = True
         return result
     finally:
-        if cleanup:
-            shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(cache_dir, ignore_errors=True)
 
 
-def run_epoch_series(
-    seed: int, domains: int, wan_rounds: int, workers: int,
-    epochs: int, plan_name: str, cache_dir: str, capture=None,
+def epoch_series_check(
+    args, config: WorldConfig, expected_digests: dict
 ) -> dict:
-    """An N-epoch incremental series through one artifact cache.
+    """``--epochs``: an N-epoch incremental series through one fresh
+    artifact cache, gated on (a) epoch 0 reproducing the single-shot
+    digests and (b) every later epoch being served at least partly
+    from the cache.
 
     Epoch 0 carries no fingerprint components, so its artifact keys —
     and therefore its digests — are exactly the single-shot
@@ -422,62 +385,35 @@ def run_epoch_series(
     """
     from repro.epochs import Epoch, resolve_epoch_plan
 
-    plan = resolve_epoch_plan(plan_name)
-    store = ArtifactStore(cache_dir)
-    world_config = WorldConfig(
-        seed=seed, num_domains=domains,
-        capture=capture if capture is not None else CaptureConfig(),
-    )
-    wan_config = WanConfig(rounds=wan_rounds, workers=workers)
-    per_epoch = []
-    epoch0_digests = None
-    for index in range(epochs):
-        before = store.stats.as_dict()
-        epoch = Epoch(plan, index, world_config)
-        context = ExperimentContext(
-            world_config, wan_config, workers=workers,
-            artifact_store=store, epoch=epoch,
-        )
-        start = time.perf_counter()
-        digests = _pipeline_digests(context)
-        elapsed = time.perf_counter() - start
-        after = store.stats.as_dict()
-        if index == 0:
-            epoch0_digests = digests
-        per_epoch.append({
-            "epoch": index,
-            "elapsed_s": round(elapsed, 3),
-            "cache": {
-                name: after[name] - before[name] for name in after
-            },
-        })
-    return {
-        "plan": plan.name,
-        "epochs": epochs,
-        "per_epoch": per_epoch,
-        "epoch0_digests": epoch0_digests,
-    }
-
-
-def epoch_series_check(args, expected_digests: dict, capture) -> dict:
-    """``--epochs``: run the incremental series and gate on (a) epoch 0
-    reproducing the single-shot digests and (b) every later epoch being
-    served at least partly from the artifact cache."""
+    plan = resolve_epoch_plan(args.epoch_plan)
     cache_dir = tempfile.mkdtemp(prefix="repro-epochs-bench-")
     try:
-        series = run_epoch_series(
-            args.seed, args.domains, args.wan_rounds, args.workers,
-            args.epochs, args.epoch_plan, cache_dir, capture=capture,
-        )
+        store = ArtifactStore(cache_dir)
+        per_epoch = []
+        for index in range(args.epochs):
+            before = store.stats.as_dict()
+            run = measure(
+                config, args.wan_rounds, args.workers, store=store,
+                epoch=Epoch(plan, index, config),
+            )
+            after = store.stats.as_dict()
+            if index == 0 and run["digests"] != expected_digests:
+                raise SystemExit(
+                    "epoch 0 diverged from the single-shot pipeline: "
+                    f"{run['digests']} vs {expected_digests}"
+                )
+            per_epoch.append({
+                "epoch": index,
+                "elapsed_s": run["elapsed_s"],
+                "cache": {
+                    name: after[name] - before[name] for name in after
+                },
+                "rss_kib": run["rss_kib"],
+            })
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-    if series["epoch0_digests"] != expected_digests:
-        raise SystemExit(
-            "epoch 0 diverged from the single-shot pipeline: "
-            f"{series['epoch0_digests']} vs {expected_digests}"
-        )
     stale = [
-        entry["epoch"] for entry in series["per_epoch"][1:]
+        entry["epoch"] for entry in per_epoch[1:]
         if entry["cache"]["hits"] <= 0
     ]
     if stale:
@@ -486,12 +422,17 @@ def epoch_series_check(args, expected_digests: dict, capture) -> dict:
             "hit — the epoch fingerprints are not reusing unchanged "
             "artifact kinds"
         )
-    series["outputs_identical"] = True
-    series["first_epoch_s"] = series["per_epoch"][0]["elapsed_s"]
-    if len(series["per_epoch"]) > 1:
+    series = {
+        "plan": plan.name,
+        "epochs": args.epochs,
+        "per_epoch": per_epoch,
+        "outputs_identical": True,
+        "first_epoch_s": per_epoch[0]["elapsed_s"],
+    }
+    if len(per_epoch) > 1:
         series["steady_state_epoch_s"] = round(
-            sum(e["elapsed_s"] for e in series["per_epoch"][1:])
-            / (len(series["per_epoch"]) - 1),
+            sum(e["elapsed_s"] for e in per_epoch[1:])
+            / (len(per_epoch) - 1),
             3,
         )
     return series
@@ -516,16 +457,6 @@ def main() -> int:
              "(0 = sequential; results identical)",
     )
     parser.add_argument(
-        "--clients", type=int, default=None,
-        help="override the tier's capture client population",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="domain ranks a deferred world deploys per forked chunk "
-             "(default: the built-in default; output bytes are "
-             "chunk-size-invariant)",
-    )
-    parser.add_argument(
         "--no-streaming", action="store_true",
         help="build a batch world (every tenant deployed up front, "
              "all-at-once dataset build) instead of a deferred one",
@@ -545,11 +476,6 @@ def main() -> int:
         help="full pipeline runs; per-stage times are the best of K",
     )
     parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="artifact-cache directory for the cold/warm check "
-             "(default: a throwaway temp dir)",
-    )
-    parser.add_argument(
         "--no-cache-check", action="store_true",
         help="skip the cold-vs-warm artifact-cache runs",
     )
@@ -565,10 +491,6 @@ def main() -> int:
         help="named epoch plan for --epochs (see repro.epochs.plan)",
     )
     parser.add_argument(
-        "--no-columnar", action="store_true",
-        help="disable the columnar data plane (scalar reference paths)",
-    )
-    parser.add_argument(
         "--compare-scalar", action="store_true",
         help="also run the scalar pipeline, fail unless its digests "
              "match, and record per-stage speedups",
@@ -580,8 +502,8 @@ def main() -> int:
     )
     parser.add_argument(
         "--baseline", default=None, metavar="FILE",
-        help="earlier BENCH_pipeline.json to compute a speedup against "
-             "(run this script on the pre-optimisation revision first)",
+        help="earlier bench file whose digests this run is compared "
+             "with (recorded as baseline_outputs_identical)",
     )
     parser.add_argument(
         "--require-baseline-identical", action="store_true",
@@ -607,25 +529,19 @@ def main() -> int:
         args.domains = SCALES[args.scale]["domains"]
     if args.out is None:
         args.out = SCALES[args.scale]["out"]
-    if args.no_columnar and args.compare_scalar:
-        parser.error("--compare-scalar is meaningless with --no-columnar")
     if args.epochs is not None and args.epochs < 1:
         parser.error("--epochs needs at least 1 epoch")
 
-    columnar = not args.no_columnar
-    streaming = not args.no_streaming
+    deferred = not args.no_streaming
     collect_events = bool(args.events_out)
-    capture_kwargs = dict(SCALES[args.scale].get("capture", {}))
-    if args.clients is not None:
-        capture_kwargs["num_clients"] = args.clients
-    capture = CaptureConfig(**capture_kwargs)
-    if args.chunk_size is not None:
-        set_chunk_size(args.chunk_size)
+    capture = CaptureConfig(**SCALES[args.scale]["capture"])
+    config = WorldConfig(
+        seed=args.seed, num_domains=args.domains, capture=capture
+    )
     runs = [
-        run_once(
-            args.seed, args.domains, args.wan_rounds, args.workers,
-            collect_events=collect_events, columnar=columnar,
-            streaming=streaming, capture=capture,
+        measure(
+            config, args.wan_rounds, args.workers, deferred=deferred,
+            events=collect_events,
         )
         for _ in range(args.repeat)
     ]
@@ -703,8 +619,8 @@ def main() -> int:
             "wan_rounds": args.wan_rounds,
             "workers": args.workers,
             "repeat": args.repeat,
-            "columnar": columnar,
-            "streaming": runs[0]["streaming"],
+            "columnar": True,
+            "streaming": deferred,
             "capture_clients": capture.num_clients,
             "capture_flows": capture.total_flows,
         },
@@ -720,24 +636,25 @@ def main() -> int:
         "digests": digests,
         "trajectory": trajectory,
     }
+    if len(runs) > 1:
+        report["repeat_rss_kib"] = [run["rss_kib"] for run in runs[1:]]
+    first = runs[0]["obs"]
 
     if args.compare_scalar:
-        scalar = run_once(
-            args.seed, args.domains, args.wan_rounds, args.workers,
-            collect_events=collect_events, columnar=False,
-            streaming=streaming, capture=capture,
+        scalar = measure(
+            config, args.wan_rounds, args.workers, deferred=deferred,
+            columnar=False, events=collect_events,
         )
         if scalar["digests"] != digests:
             raise SystemExit(
                 "scalar pipeline digests differ from columnar: "
                 f"{scalar['digests']} vs {digests}"
             )
-        scalar_times = {
-            key: round(value, 3)
-            for key, value in scalar["timings"].items()
-        }
         report["scalar_comparison"] = {
-            "timings_s": scalar_times,
+            "timings_s": {
+                key: round(value, 3)
+                for key, value in scalar["timings"].items()
+            },
             # Its stages' hwm_raise_kib show whether this pass, not
             # the gated one, set the invocation's peak.
             "rss_kib": scalar["rss_kib"],
@@ -751,44 +668,39 @@ def main() -> int:
 
     if args.verify_workers:
         counts = [int(part) for part in args.verify_workers.split(",")]
+        workers_rss = {}
         for count in counts:
             if count == args.workers:
                 continue
-            other = run_once(
-                args.seed, args.domains, args.wan_rounds, count,
-                collect_events=collect_events, columnar=columnar,
-                streaming=streaming, capture=capture,
+            other = measure(
+                config, args.wan_rounds, count, deferred=deferred,
+                events=collect_events,
             )
             if other["digests"] != digests:
                 raise SystemExit(
                     f"digest mismatch at workers={count}: "
                     f"{other['digests']} vs {digests}"
                 )
-            if collect_events:
-                # The event log must be byte-identical too — sharded
-                # runs log in the same deterministic grid order.
-                if (other["obs"].events.to_ndjson()
-                        != runs[0]["obs"].events.to_ndjson()):
-                    raise SystemExit(
-                        f"event-log mismatch at workers={count}"
-                    )
+            # The event log must be byte-identical too — sharded runs
+            # log in the same deterministic grid order.
+            if collect_events and (
+                other["obs"].events.to_ndjson()
+                != first.events.to_ndjson()
+            ):
+                raise SystemExit(f"event-log mismatch at workers={count}")
+            workers_rss[str(count)] = other["rss_kib"]
         report["workers_verified"] = counts
+        report["workers_rss_kib"] = workers_rss
 
     if not args.no_cache_check:
-        report["artifact_cache"] = cache_check(args, digests)
+        report["artifact_cache"] = cache_check(args, config, digests)
 
     if args.epochs is not None:
-        report["epoch_series"] = epoch_series_check(
-            args, digests, capture
-        )
+        report["epoch_series"] = epoch_series_check(args, config, digests)
 
     if args.baseline:
         with open(args.baseline) as fh:
             baseline = json.load(fh)
-        report["baseline_timings_s"] = baseline["timings_s"]
-        report["speedup"] = round(
-            baseline["timings_s"]["total_s"] / best["total_s"], 2
-        )
         identical = baseline.get("digests") == digests
         report["baseline_outputs_identical"] = identical
         if args.require_baseline_identical and not identical:
@@ -805,7 +717,6 @@ def main() -> int:
     print(json.dumps(report, indent=2))
     print(f"wrote {args.out}")
 
-    first = runs[0]["obs"]
     if args.trace_out:
         first.tracer.write_chrome(args.trace_out)
         print(f"wrote trace {args.trace_out}")

@@ -85,8 +85,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.campaign.fanout import fork_map, partition_weighted
 from repro.dns.records import DnsResponse, RRType
-from repro.flags import streaming_chunk_size
 from repro.net.ipv4 import IPv4Address
+
+#: Ranks a deferred world deploys per forked chunk.  Sized so a chunk's
+#: tenant state (zones, records, plans, instances) stays tens of MB
+#: while the per-chunk fork/merge overhead stays well under a percent
+#: of the build.  Output bytes do not depend on it (any contiguous
+#: partition merges identically); tests shrink it to exercise many
+#: chunks at small domain counts.
+CHUNK_SIZE = 6_250
 
 #: Pipeline phases in sequential execution order; the replay sorts
 #: logged descriptors phase-major so cross-shard rotations are assigned
@@ -433,10 +440,9 @@ def build_forked(builder, workers: int):
     metrics = builder.obs.metrics
     clock = _StepClock()
     if deferred:
-        chunk = streaming_chunk_size()
         bounds = [
-            (lo, min(lo + chunk, len(sites)))
-            for lo in range(0, len(sites), chunk)
+            (lo, min(lo + CHUNK_SIZE, len(sites)))
+            for lo in range(0, len(sites), CHUNK_SIZE)
         ]
         group_size = max(1, workers)
     else:

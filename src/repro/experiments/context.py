@@ -13,10 +13,11 @@ the world build, which only the cache misses need.
 One ordering subtlety is load-bearing: the capture generator resolves
 traffic domains through live DNS, so the trace depends on the rotation
 counters and resolver caches the dataset build leaves behind.  When the
-trace must be rebuilt, the context therefore always runs the real
-dataset build against its world first — even if the dataset *product*
-was itself a cache hit — keeping every cached artifact identical to a
-cold sequential pipeline.
+trace must be built, the context therefore always runs the real
+dataset build against its world first — with or without a store, and
+even if the dataset *product* was itself a cache hit — so the trace is
+the same whichever product is asked for first, and every cached
+artifact is identical to a cold sequential pipeline.
 
 More generally, the cache must be a *pure accelerator* even for
 consumers that bypass the cached products and read world state
@@ -39,6 +40,15 @@ nothing dead is frozen.  Before a context builds its world, anything
 an earlier context froze is unfrozen and collected once, so a process
 that builds many contexts (the scheduler, an epoch series, the test
 suite) holds at most one finished run's heap.
+
+``defer_tenants=True`` builds a deferred world
+(``World(defer_tenants=True)``): its dataset build deploys, measures
+and releases the tenant population in forked rank chunks, bounding
+memory (docs/PERFORMANCE.md, "The streaming data plane").  Such a
+world has no tenants until that build runs, so the context runs it as
+soon as the world exists.  It refuses an artifact store (a releasing
+build trims the dataset's ``discovered`` map, so its product differs
+from a batch build's) and an epoch (epoch steps need every plan).
 """
 
 from __future__ import annotations
@@ -89,7 +99,18 @@ class ExperimentContext:
         scenario: Optional[OutageScenario] = None,
         obs: Optional[Observability] = None,
         epoch=None,
+        defer_tenants: bool = False,
     ):
+        if defer_tenants and artifact_store is not None:
+            raise ValueError(
+                "a deferred world cannot share an artifact store: its "
+                "releasing build trims the dataset's discovered map"
+            )
+        if defer_tenants and epoch is not None:
+            raise ValueError(
+                "a deferred world cannot follow an epoch: epoch steps "
+                "need every tenant's plan"
+            )
         self.world_config = world_config or WorldConfig()
         self.wan_config = wan_config or WanConfig()
         #: Shard count for the dataset build (the WAN campaign reads its
@@ -107,6 +128,9 @@ class ExperimentContext:
         #: step through this epoch touched the kind, so those artifacts
         #: keep their epoch-0 keys and hit the store.
         self.epoch = epoch
+        #: Build a deferred world, whose dataset build releases tenant
+        #: state chunk group by chunk group (module docstring).
+        self.defer_tenants = defer_tenants
         #: Observability plane threaded into every build, campaign, and
         #: artifact-store call this context owns.  Defaults to a
         #: collecting tracer+metrics (events off) so :meth:`telemetry`
@@ -115,7 +139,6 @@ class ExperimentContext:
         if artifact_store is not None and not artifact_store.obs.enabled:
             artifact_store.obs = self.obs
         self._world: Optional[World] = None
-        self._dataset_builder: Optional[DatasetBuilder] = None
         #: Side-effect replays queued by cache hits, run (in serve
         #: order) the moment the world materializes — see the module
         #: docstring's pure-accelerator rule.
@@ -181,10 +204,16 @@ class ExperimentContext:
                     # epoch, memoized on the Epoch.
                     self._world = self.epoch.build_world()
                 else:
-                    self._world = World(self.world_config)
+                    self._world = World(
+                        self.world_config,
+                        defer_tenants=self.defer_tenants,
+                    )
             pending, self._replays = self._replays, []
             for replay in pending:
                 replay()
+            if self.defer_tenants:
+                # Its tenants exist only through the dataset build.
+                self._build_dataset()
         return self._world
 
     def _replay_or_defer(self, replay: Callable[[], None]) -> None:
@@ -195,31 +224,33 @@ class ExperimentContext:
         else:
             self._replays.append(replay)
 
-    def _replay_dataset_build(self) -> None:
-        if not self._dataset_built_in_world:
-            self._build_dataset()
-
     def _replay_capture(self) -> None:
         # The capture's own side effects presuppose the dataset
         # build's (the same ordering rule the miss path enforces).
-        self._replay_dataset_build()
+        self._build_dataset()
         self.world.capture_trace()
 
-    def _build_dataset(self) -> AlexaSubdomainsDataset:
-        """Run the real §2.1 build against this context's world.
+    def _build_dataset(self) -> None:
+        """Run the real §2.1 build against this context's world, once.
 
         Needed even when the dataset product came from the cache: the
         build's DNS side effects are part of the state the capture
-        generator consumes.
+        generator consumes.  The product becomes the context's dataset
+        unless the cache already served one.  The world is fetched
+        before the stage opens, so its own build (and a deferred
+        world's dataset build, or a queued replay) is never timed as
+        part of this stage, and never runs twice.
         """
+        world = self.world
+        if self._dataset_built_in_world:
+            return
         with self._stage("dataset"):
-            builder = DatasetBuilder(
-                self.world, scenario=self.scenario, obs=self.obs
-            )
-            dataset = builder.build(workers=self.workers)
-        self._dataset_builder = builder
+            dataset = DatasetBuilder(
+                world, scenario=self.scenario, obs=self.obs
+            ).build(workers=self.workers)
         self._dataset_built_in_world = True
-        return dataset
+        if self._dataset is None:
+            self._dataset = dataset
 
     @property
     def dataset(self) -> AlexaSubdomainsDataset:
@@ -229,18 +260,19 @@ class ExperimentContext:
                 cached = self.artifacts.load("dataset", key)
                 if cached is not None:
                     self._dataset = cached
-                    self._replay_or_defer(self._replay_dataset_build)
+                    self._replay_or_defer(self._build_dataset)
                     return self._dataset
-                self._dataset = self._build_dataset()
+                self._build_dataset()
                 self.artifacts.store("dataset", key, self._dataset)
             else:
-                self._dataset = self._build_dataset()
+                self._build_dataset()
         return self._dataset
 
     @property
     def trace(self) -> Trace:
         """The campus capture trace (cache-aware)."""
         if self._trace is None:
+            key = None
             if self.artifacts is not None:
                 key = self._capture_key()
                 cached = self.artifacts.load("capture", key)
@@ -248,20 +280,12 @@ class ExperimentContext:
                     self._trace = cached
                     self._replay_or_defer(self._replay_capture)
                     return self._trace
-                world = self.world  # drains any queued replays first
-                if not self._dataset_built_in_world:
-                    dataset = self._build_dataset()
-                    if self._dataset is None:
-                        self._dataset = dataset
-                self._trace = self._capture(world)
+            self._build_dataset()  # drains any queued replays first
+            with self._stage("capture"):
+                self._trace = self.world.capture_trace()
+            if key is not None:
                 self.artifacts.store("capture", key, self._trace)
-            else:
-                self._trace = self._capture(self.world)
         return self._trace
-
-    def _capture(self, world: World) -> Trace:
-        with self._stage("capture"):
-            return world.capture_trace()
 
     @property
     def wan(self) -> WanAnalysis:

@@ -197,13 +197,8 @@ def entry_from_run(loaded: "LoadedRun") -> TimelineEntry:
 
 
 def _entry_rss(entry: dict) -> Optional[int]:
-    """Peak RSS from a trajectory entry, tolerating the two historic
-    layouts (``rss_high_water_kib`` number, older ``rss_peak_kib``
-    number-or-dict)."""
-    value = entry.get("rss_high_water_kib", entry.get("rss_peak_kib"))
-    if isinstance(value, dict):
-        numbers = [v for v in value.values() if isinstance(v, (int, float))]
-        return int(max(numbers)) if numbers else None
+    """Peak RSS from a trajectory entry's ``rss_high_water_kib``."""
+    value = entry.get("rss_high_water_kib")
     if isinstance(value, (int, float)):
         return int(value)
     return None

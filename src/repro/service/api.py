@@ -92,8 +92,8 @@ class _HTTPError(Exception):
 
 
 def encode_payload(content_type: str, payload: object) -> bytes:
-    """The response body bytes for a handler payload — one encoding
-    shared by the HTTP handler and the size histogram."""
+    """The response body bytes for a handler payload — encoded once
+    per request, by :meth:`ServiceAPI.respond`."""
     if content_type == "application/json":
         return (json.dumps(payload, indent=2) + "\n").encode()
     return str(payload).encode()
@@ -132,6 +132,25 @@ class ServiceAPI:
         case it is the final string.  ``headers`` (lower-cased keys)
         supplies ``x-request-id`` for log correlation.
         """
+        return self._resolve(method, path, body, headers)[:3]
+
+    def respond(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Optional[Dict[str, str]] = None,
+    ) -> Tuple[int, str, bytes]:
+        """Resolve one request to (status, content_type, body bytes):
+        what the HTTP handler and :class:`LocalServiceClient` send."""
+        status, content_type, _, data = self._resolve(
+            method, path, body, headers
+        )
+        return status, content_type, data
+
+    def _resolve(self, method, path, body, headers):
+        """Dispatch, encode the response body once, and observe the
+        request with that body's size."""
         split = urlsplit(path)
         query = {
             name: values[0]
@@ -164,19 +183,19 @@ class ServiceAPI:
             response = 500, "application/json", {
                 "error": f"{type(error).__name__}: {error}"
             }
+        status, content_type, payload = response
+        data = encode_payload(content_type, payload)
         self._observe(
             method, route, split.path, request_id,
-            time.perf_counter() - started, response,
+            time.perf_counter() - started, status, len(data),
         )
-        return response
+        return status, content_type, payload, data
 
     def _observe(
-        self, method, route, path, request_id, elapsed_s, response
+        self, method, route, path, request_id, elapsed_s, status, size
     ) -> None:
         """Per-request telemetry: histograms, status counter, and the
         access-log NDJSON event (all volatile — never in a manifest)."""
-        status, content_type, payload = response
-        size = len(encode_payload(content_type, payload))
         metrics = self.obs.metrics
         metrics.histogram(
             "service_request_seconds", volatile=True, route=route,
@@ -473,10 +492,9 @@ class ServiceAPI:
                     for name, value in self.headers.items()
                 }
                 headers["x-request-id"] = request_id
-                status, content_type, payload = api.handle(
+                status, content_type, data = api.respond(
                     method, self.path, body, headers=headers
                 )
-                data = encode_payload(content_type, payload)
                 self.send_response(status)
                 self.send_header(
                     "Content-Type", f"{content_type}; charset=utf-8"

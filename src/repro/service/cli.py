@@ -487,6 +487,11 @@ def _report(args) -> int:
             raise ServiceError(
                 "cannot read --bench file(s): " + "; ".join(unread)
             )
+        for entry in scan.skipped_benches:
+            print(
+                f"skipped bench file {entry['path']}: {entry['reason']}",
+                file=sys.stderr,
+            )
         reports = check_store(store) if args.check else None
         if args.json:
             payload = {
@@ -494,6 +499,7 @@ def _report(args) -> int:
                 "entries": [
                     entry.as_dict() for entry in store.entries()
                 ],
+                "skipped_benches": scan.skipped_benches,
             }
             if reports is not None:
                 payload["regressions"] = {

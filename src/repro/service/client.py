@@ -17,7 +17,6 @@ from urllib.error import HTTPError, URLError
 from urllib.parse import urlencode
 from urllib.request import Request, urlopen
 
-from repro.service.api import encode_payload
 from repro.service.errors import ServiceError
 
 
@@ -151,7 +150,7 @@ class LocalServiceClient(ServiceClient):
     """The same client over the daemon's route handlers, in process.
 
     ``repro jobs|runs --root`` uses this: each request goes through
-    :meth:`ServiceAPI.handle` and the HTTP response encoding, so a
+    :meth:`ServiceAPI.respond`, the HTTP handler's own path, so a
     command prints the same bytes whether it runs against a root or a
     daemon serving that root.  Paths are served in process, so the
     base URL is empty.
@@ -164,7 +163,4 @@ class LocalServiceClient(ServiceClient):
     def _send(
         self, method: str, target: str, data: Optional[bytes]
     ) -> Tuple[int, str, bytes]:
-        status, content_type, payload = self.api.handle(
-            method, target, data
-        )
-        return status, content_type, encode_payload(content_type, payload)
+        return self.api.respond(method, target, data)

@@ -5,16 +5,22 @@ worker counts and chunk sizes, while actually releasing tenant state.
 Also covers the conditions a deferred world builds under: forkable
 ones (outage drills, live event sinks) release tenants, the in-process
 ones (partial range coverage, no fork) deploy everything first, and
-both match the batch world."""
+both match the batch world.  Last, the same parity through
+``ExperimentContext(defer_tenants=True)``, which refuses the artifact
+store and the epoch a deferred world cannot serve."""
 
 import os
 
 import pytest
 
-from repro import flags
 from repro.analysis import dataset as dataset_module
+from repro.analysis import shards
 from repro.analysis.dataset import DatasetBuilder
+from repro.analysis.wan import WanConfig
+from repro.artifacts import ArtifactStore
 from repro.columnar.tables import _COLUMN_DTYPES, _POOL_NAMES
+from repro.epochs import Epoch, resolve_epoch_plan
+from repro.experiments.context import ExperimentContext
 from repro.faults.scenarios import OutageScenario
 from repro.obs import Observability
 from repro.world import World, WorldConfig
@@ -51,15 +57,13 @@ def _dataset_view(dataset):
 
 
 def _chunked_build(workers, chunk):
-    previous = flags.set_chunk_size(chunk)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards, "CHUNK_SIZE", chunk)
         world = World(
             WorldConfig(seed=SEED, num_domains=DOMAINS),
             defer_tenants=True,
         )
         dataset = DatasetBuilder(world).build(workers)
-    finally:
-        flags.set_chunk_size(previous)
     return world, dataset
 
 
@@ -192,8 +196,8 @@ def _condition_build(condition, deferred, workers, chunk):
         builder_kwargs["scenario"] = OutageScenario(name="drill")
     elif condition == "range-0.5":
         builder_kwargs["range_coverage"] = 0.5
-    previous = flags.set_chunk_size(chunk)
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards, "CHUNK_SIZE", chunk)
         world = World(
             WorldConfig(seed=SEED, num_domains=DOMAINS),
             defer_tenants=deferred,
@@ -201,8 +205,6 @@ def _condition_build(condition, deferred, workers, chunk):
         dataset = DatasetBuilder(world, obs=obs, **builder_kwargs).build(
             workers
         )
-    finally:
-        flags.set_chunk_size(previous)
     view = {
         "dataset": _dataset_view(dataset),
         "counters": world.dns.dynamic_query_counts(),
@@ -272,15 +274,85 @@ class TestDeferredWorldGuards:
             world.ensure_deployed_through(10)
 
 
-class TestChunkSizeFlag:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            flags.set_chunk_size(0)
+def _flow_columns(table):
+    columns = {
+        name: (getattr(table, name).dtype, getattr(table, name).tolist())
+        for name, _ in _COLUMN_DTYPES
+    }
+    columns.update((name, getattr(table, name)) for name in _POOL_NAMES)
+    return columns
 
-    def test_override_and_default(self):
-        previous = flags.set_chunk_size(123)
-        try:
-            assert flags.streaming_chunk_size() == 123
-        finally:
-            flags.set_chunk_size(previous)
-        assert flags.streaming_chunk_size() == flags.DEFAULT_CHUNK_SIZE
+
+def _context_view(context):
+    """Every product the six bench digests cover, in bench order: the
+    dataset, both WAN matrices, the capture, then the traceroute
+    sweep."""
+    dataset = context.dataset
+    wan = context.wan
+    wan._measure()
+    table = context.trace.flow_table()
+    return {
+        "records": [_record_key(r) for r in dataset.records],
+        "ns": _dataset_view(dataset)["ns"],
+        "latency": sorted(wan._latency.items()),
+        "throughput": sorted(wan._throughput.items()),
+        "flows": _flow_columns(table),
+        "isp": wan.isp_diversity(),
+    }
+
+
+def _context(deferred, workers):
+    return ExperimentContext(
+        WorldConfig(seed=SEED, num_domains=DOMAINS),
+        WanConfig(rounds=2, workers=workers), workers=workers,
+        defer_tenants=deferred,
+    )
+
+
+@pytest.fixture(scope="module")
+def batch_context_view():
+    return _context_view(_context(False, 0))
+
+
+class TestDeferredContext:
+    @pytest.mark.parametrize(
+        "workers,chunk", [(0, 80), (2, 73)], ids=["w0-c80", "w2-c73"]
+    )
+    def test_matches_batch_context(
+        self, monkeypatch, batch_context_view, workers, chunk
+    ):
+        if not hasattr(os, "fork"):
+            pytest.skip("chunk workers need os.fork")
+        monkeypatch.setattr(shards, "CHUNK_SIZE", chunk)
+        context = _context(True, workers)
+        view = _context_view(context)
+        assert not context.world.deployer.deployed
+        assert len(view["flows"]["dst_value"][1]) > 0
+        assert view == batch_context_view
+
+    def test_world_comes_with_its_dataset(self, monkeypatch):
+        # A deferred world has no tenants until its dataset build, so
+        # the context never hands it out without one.
+        monkeypatch.setattr(shards, "CHUNK_SIZE", 80)
+        context = ExperimentContext(
+            WorldConfig(seed=SEED, num_domains=150), defer_tenants=True
+        )
+        world = context.world
+        assert not world.pending_tenants
+        assert context._dataset is not None
+        assert context.dataset is context._dataset
+        assert world.traffic_domains()
+
+    def test_refuses_an_artifact_store(self, tmp_path):
+        with pytest.raises(ValueError, match="artifact store"):
+            ExperimentContext(
+                WorldConfig(seed=SEED, num_domains=150),
+                artifact_store=ArtifactStore(tmp_path),
+                defer_tenants=True,
+            )
+
+    def test_refuses_an_epoch(self):
+        config = WorldConfig(seed=SEED, num_domains=150)
+        epoch = Epoch(resolve_epoch_plan("steady-growth"), 1, config)
+        with pytest.raises(ValueError, match="epoch"):
+            ExperimentContext(config, epoch=epoch, defer_tenants=True)

@@ -12,9 +12,11 @@ import weakref
 
 import pytest
 
+from repro.analysis import shards
 from repro.analysis.dataset import DatasetBuilder
 from repro.analysis.wan import WanAnalysis, WanConfig
 from repro.campaign.engine import CampaignEngine
+from repro.campaign.fanout import fork_map
 from repro.experiments import ExperimentContext
 from repro.experiments import context as context_module
 from repro.flags import set_columnar_enabled
@@ -58,6 +60,35 @@ def test_stage_builds_leave_no_cyclic_garbage(monkeypatch):
     # with nothing unreachable in it.
     assert found == {0: 0, 1: 0, 2: 0}
     assert gc.get_freeze_count() > 0
+
+
+def test_deferred_stage_builds_leave_no_cyclic_garbage(monkeypatch):
+    """A deferred world releases chunk groups inside the dataset
+    stage's single pause; the release must leave nothing cyclic for
+    that stage's freeze to pin.  Importing the fork path leaves a few
+    cyclic objects once per process (``@dataclass(slots=True)``
+    discards the class object it replaces), so the test forks once
+    and collects before it starts counting."""
+    fork_map(lambda index: index, 2, 2, force_fork=True)
+    gc.collect()
+    found = {}
+    freeze = gc.freeze
+
+    def collect_then_freeze():
+        found[len(found)] = gc.collect()
+        freeze()
+
+    monkeypatch.setattr(gc, "freeze", collect_then_freeze)
+    monkeypatch.setattr(shards, "CHUNK_SIZE", 80)
+    context = ExperimentContext(
+        WorldConfig(seed=7, num_domains=400), WanConfig(rounds=2),
+        defer_tenants=True,
+    )
+    context.world
+    context.trace
+    # World, dataset (five chunks, each released) and capture.
+    assert found == {0: 0, 1: 0, 2: 0}
+    assert not context.world.deployer.deployed
 
 
 def test_stages_run_paused_and_end_frozen(monkeypatch):
@@ -112,7 +143,7 @@ def test_a_measured_context_needs_no_collector_to_die():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_failed_world_build_restores_the_collector(monkeypatch, enabled):
-    def broken_world(config):
+    def broken_world(config, **kwargs):
         raise RuntimeError("world build failed")
 
     monkeypatch.setattr(context_module, "World", broken_world)

@@ -69,18 +69,6 @@ def test_bench_digests_attach_to_the_freshest_position(bench_file):
     }
 
 
-def test_bench_legacy_rss_layouts(tmp_path):
-    payload = _bench_payload()
-    payload["trajectory"][0].pop("rss_high_water_kib")
-    payload["trajectory"][0]["rss_peak_kib"] = {
-        "world": 1000, "dataset": 5000,
-    }
-    path = tmp_path / "BENCH_legacy.json"
-    path.write_text(json.dumps(payload))
-    entries = entries_from_bench_file(path)
-    assert entries[0].rss_high_water_kib == 5000
-
-
 def test_unstamped_positions_never_outrank_stamped_ones(tmp_path):
     """Legacy trajectory entries without recorded_unix fall back to the
     file mtime, which postdates every real stamp — recorded_at must

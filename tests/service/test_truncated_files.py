@@ -98,12 +98,29 @@ def test_runs_show_exits_4_on_a_manifest_truncated_after_indexing(
     assert run_id in captured.err
 
 
+def _retired_shape(key):
+    """The committed seed bench plus one retired key."""
+
+    def make(tmp_path):
+        payload = json.loads((REPO / "BENCH_pipeline.json").read_text())
+        if key == "rss_peak_kib":
+            payload["trajectory"][-1][key] = {"world": 1, "dataset": 2}
+        else:
+            payload[key] = 1.0
+        return _written(tmp_path, "BENCH_retired.json", payload)
+
+    return make
+
+
 @pytest.mark.parametrize("make, message", [
     pytest.param(_truncated_bench, "unreadable", id="truncated"),
     pytest.param(
         lambda tmp_path: _written(tmp_path, "BENCH_shape.json", []),
         "top level is not a JSON object", id="wrong-shape",
     ),
+] + [
+    pytest.param(_retired_shape(key), f"retired key {key!r}", id=key)
+    for key in ("baseline_timings_s", "speedup", "rss_peak_kib")
 ])
 def test_check_bench_exits_1(tmp_path, make, message):
     result = subprocess.run(

@@ -4,13 +4,16 @@ policy, request-id propagation, the access log, the /timeline +
 
 import json
 import subprocess
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.obs.events import EventSink
+from repro.service import api as api_module
 from repro.service import jobs
 from repro.service.api import ServiceAPI
+from repro.service.client import LocalServiceClient, ServiceClient
 from repro.service.jobs import JobRecord, Scheduler
 from repro.service.repository import RunRepository
 from tests.obs.test_timeline import _bench_payload
@@ -166,6 +169,48 @@ def test_every_request_emits_one_access_event(repository):
     assert event["route"] == "health"
     assert event["bytes"] > 0
     assert event["duration_ms"] >= 0
+
+
+@pytest.mark.parametrize("transport", ["http", "local"])
+def test_each_response_is_encoded_once(repository, monkeypatch, transport):
+    """The body sent is the body sized: one encode per request, and the
+    byte histogram and the access log count exactly the bytes sent."""
+    _seed_bench(repository)
+    encoded = []
+    encode = api_module.encode_payload
+
+    def counted(content_type, payload):
+        encoded.append(encode(content_type, payload))
+        return encoded[-1]
+
+    monkeypatch.setattr(api_module, "encode_payload", counted)
+    sink = EventSink()
+    api = ServiceAPI(repository, access_log=sink)
+    paths = ["/timeline", "/dashboard?format=text", "/runs/run-nope"]
+    if transport == "http":
+        server = api.make_server(port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_address[1]}"
+            )
+            sent = [client._send("GET", path, None) for path in paths]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+    else:
+        client = LocalServiceClient(api)
+        sent = [client._send("GET", path, None) for path in paths]
+    assert [status for status, _, _ in sent] == [200, 200, 404]
+    assert [body for _, _, body in sent] == encoded
+    assert [e["bytes"] for e in sink.events] == [len(b) for b in encoded]
+    exposition = api.obs.metrics.render_prometheus()
+    assert (
+        f'service_response_bytes_sum{{route="timeline"}} {len(encoded[0])}\n'
+        in exposition
+    )
 
 
 def test_access_log_tee_is_valid_ndjson(repository, tmp_path):
@@ -335,3 +380,31 @@ def test_report_still_skips_unreadable_root_benches(tmp_path, capsys):
     assert service_main(["report", "--root", str(root), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["counts"]["bench_entries"] == 2
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_report_names_skipped_root_benches(tmp_path, capsys, as_json):
+    """A skipped <root>/bench/ file is named with its reason on stderr
+    and, with --json, listed under skipped_benches; the exit code
+    stays 0."""
+    from repro.service.cli import service_main
+
+    root = tmp_path / "svc"
+    (root / "bench").mkdir(parents=True)
+    skipped = root / "bench" / "job-1.json"
+    skipped.write_text('{"trunc')
+    argv = ["report", "--root", str(root)] + ["--json"] * as_json
+    assert service_main(argv) == 0
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"skipped bench file {skipped}: ")
+    assert "Unterminated string" in line
+    if as_json:
+        payload = json.loads(captured.out)
+        (entry,) = payload["skipped_benches"]
+        assert entry["path"] == str(skipped)
+        assert entry["reason"] in line
+        assert payload["counts"]["bench_entries"] == 0
+    else:
+        assert "0 entries" in captured.out
+

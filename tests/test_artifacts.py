@@ -17,6 +17,7 @@ from repro.artifacts import (
     canonical,
     code_fingerprint,
 )
+from repro.columnar.tables import _COLUMN_DTYPES, _POOL_NAMES
 from repro.experiments.context import ExperimentContext
 from repro.world import WorldConfig
 
@@ -212,3 +213,24 @@ class TestContextCaching:
         other.dataset
         assert other_store.stats.hits == 0
         assert other_store.stats.misses == 1
+
+
+class TestBuildOrder:
+    def test_trace_first_matches_dataset_first_without_a_store(self):
+        # The capture resolves its traffic domains through live DNS, so
+        # it depends on the dataset build's side effects: the context
+        # runs that build first whichever product is asked for first,
+        # with or without a store.
+        config = WorldConfig(seed=7, num_domains=400)
+        dataset_first = ExperimentContext(config, WAN)
+        dataset_first.dataset
+        expected = dataset_first.trace.flow_table()
+        trace_first = ExperimentContext(config, WAN)
+        table = trace_first.trace.flow_table()
+        assert len(table) == len(expected) > 0
+        for name, _ in _COLUMN_DTYPES:
+            column, reference = getattr(table, name), getattr(expected, name)
+            assert column.dtype == reference.dtype, name
+            assert column.tolist() == reference.tolist(), name
+        for name in _POOL_NAMES:
+            assert getattr(table, name) == getattr(expected, name), name
