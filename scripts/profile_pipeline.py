@@ -41,9 +41,9 @@ pipeline with the columnar data plane disabled (the scalar reference
 paths), fails unless every digest is identical, and records per-stage
 scalar-vs-columnar speedups.  Unless ``--no-cache-check`` is given,
 the script also runs the pipeline twice through a throwaway artifact
-cache — a cold run that populates it and a warm run that must be
-served entirely from it — and fails unless both match the uncached
-digests.
+cache, in the same world mode — a cold run that populates it and a
+warm run that must be served entirely from it — and fails unless both
+match the uncached digests.
 
 With ``--repeat K`` each stage's reported time is the best of K full
 pipeline runs (the digests must agree across runs, and do — caching is
@@ -275,6 +275,36 @@ class _SampledContext(ExperimentContext):
                 yield
 
 
+def _stage_self_seconds(tracer) -> dict:
+    """Seconds per stage name, each stage span less the stage spans
+    nested in it.
+
+    A warm pass materializes its world inside the traceroute stage,
+    which then runs the world, dataset and capture stages within its
+    own span; charging each stage only its self time keeps the stage
+    totals from counting that work twice.
+    """
+    totals: dict = {}
+
+    def outer_stage_seconds(spans) -> float:
+        """Seconds of the outermost stage spans among ``spans`` and
+        their descendants, recording each stage's self time."""
+        seconds = 0.0
+        for span in spans:
+            nested = outer_stage_seconds(span.children)
+            if span.category == "stage" and span.duration_s is not None:
+                totals[span.name] = (
+                    totals.get(span.name, 0.0) + span.duration_s - nested
+                )
+                seconds += span.duration_s
+            else:
+                seconds += nested
+        return seconds
+
+    outer_stage_seconds(tracer.roots)
+    return totals
+
+
 def measure(
     config: WorldConfig, wan_rounds: int, workers: int, *,
     deferred: bool = False, columnar: bool = True,
@@ -291,9 +321,10 @@ def measure(
     traceroute, so an uncached pass builds its world first and a warm
     one materializes the world only for the traceroute sweep, which
     then drains the queued side-effect replays (the pure-accelerator
-    rule, end to end).  Returns the stage timings, the dataset steps
-    and campaigns, the six digests, the pass's ``rss_kib`` and wall
-    clock, and its observability plane; the context itself is dropped.
+    rule, end to end).  Returns the stage timings (each stage's self
+    time, :func:`_stage_self_seconds`), the dataset steps and
+    campaigns, the six digests, the pass's ``rss_kib`` and wall clock,
+    and its observability plane; the context itself is dropped.
     """
     obs = Observability.collecting(events=events)
     previous_observer = obs.install_rng_counter()
@@ -322,7 +353,7 @@ def measure(
     tracer = obs.tracer
     timings = {
         f"{name}_s": seconds
-        for name, seconds in tracer.seconds_by_name("stage").items()
+        for name, seconds in _stage_self_seconds(tracer).items()
     }
     timings["total_s"] = sum(timings.values())
     _, high_water = _rss_sample()
@@ -337,16 +368,20 @@ def measure(
     }
 
 
-def cache_check(args, config: WorldConfig, expected_digests: dict) -> dict:
-    """Cold-vs-warm artifact-cache passes; both must match the uncached
-    digests and the warm pass must be served without a single miss."""
+def cache_check(
+    args, config: WorldConfig, expected_digests: dict, *, deferred: bool
+) -> dict:
+    """Cold-vs-warm artifact-cache passes in the timed passes' world
+    mode; both must match the uncached digests and the warm pass must
+    be served without a single miss."""
     cache_dir = tempfile.mkdtemp(prefix="repro-artifacts-bench-")
     try:
         result = {}
         for label in ("cold", "warm"):
             store = ArtifactStore(cache_dir)
             run = measure(
-                config, args.wan_rounds, args.workers, store=store
+                config, args.wan_rounds, args.workers, deferred=deferred,
+                store=store,
             )
             result[f"{label}_s"] = run["elapsed_s"]
             result[f"{label}_stats"] = store.stats.as_dict()
@@ -693,7 +728,9 @@ def main() -> int:
         report["workers_rss_kib"] = workers_rss
 
     if not args.no_cache_check:
-        report["artifact_cache"] = cache_check(args, config, digests)
+        report["artifact_cache"] = cache_check(
+            args, config, digests, deferred=deferred
+        )
 
     if args.epochs is not None:
         report["epoch_series"] = epoch_series_check(args, config, digests)

@@ -70,7 +70,11 @@ class AlexaSubdomainsDataset:
     by_fqdn: Dict[str, SubdomainRecord] = field(default_factory=dict)
     #: domain → its cloud-using subdomain records.
     by_domain: Dict[str, List[SubdomainRecord]] = field(default_factory=dict)
-    #: domain → all discovered subdomains (cloud-using or not).
+    #: domain → all its discovered subdomains (cloud-using or not), in
+    #: rank order, for the domains an analysis can join on: those with
+    #: a record, a CloudFront record or an other-CDN entry
+    #: (:func:`trim_discovered`).  ``total_discovered_subdomains``
+    #: counts every ranked domain's.
     discovered: Dict[str, List[str]] = field(default_factory=dict)
     #: name-server hostname → resolved address (None if unresolvable).
     ns_addresses: Dict[str, Optional[IPv4Address]] = field(
@@ -95,6 +99,29 @@ class AlexaSubdomainsDataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def trim_discovered(
+    discovered: Dict[str, List[str]],
+    records: Iterable[SubdomainRecord],
+    cloudfront_records: Iterable[SubdomainRecord],
+    other_cdn: Dict[str, List[str]],
+) -> Dict[str, List[str]]:
+    """``discovered`` restricted, in its own (rank) order, to the
+    domains with a record, a CloudFront record or an other-CDN entry.
+
+    Every build applies it — a forked build in each worker, before the
+    chunk's result is pickled — so every build returns the same
+    product.
+    """
+    wanted = {record.domain for record in records}
+    wanted.update(record.domain for record in cloudfront_records)
+    wanted.update(other_cdn)
+    return {
+        domain: subdomains
+        for domain, subdomains in discovered.items()
+        if domain in wanted
+    }
 
 
 class DatasetBuilder:
@@ -537,7 +564,7 @@ class DatasetBuilder:
         ``defer_tenants=True`` is deployed, measured and released chunk
         by chunk there, bounding memory.  Otherwise the build runs in
         process, and a deferred world first deploys all its tenants
-        without releasing any.
+        through :meth:`World.deploy_tenants`, releasing none.
         """
         world = self.world
         if world._released_tenants:
@@ -551,8 +578,7 @@ class DatasetBuilder:
         tracer = self.obs.tracer
         if world.pending_tenants:
             with tracer.span("deploy", category="dataset-step"):
-                world.ensure_deployed_through(len(world.alexa.sites))
-                world.finalize_tenants()
+                world.deploy_tenants()
         with tracer.span("enumerate", category="dataset-step"):
             discovered, total = self.discover_subdomains()
         with tracer.span("filter", category="dataset-step"):
@@ -573,7 +599,9 @@ class DatasetBuilder:
             ns_addresses = self.resolve_ns_hostnames(ns_name_lists)
         return AlexaSubdomainsDataset(
             records=records,
-            discovered=discovered,
+            discovered=trim_discovered(
+                discovered, records, cloudfront_records, other_cdn
+            ),
             ns_addresses=ns_addresses,
             total_discovered_subdomains=total,
             cloudfront_records=cloudfront_records,

@@ -64,17 +64,19 @@ that step's first-seen dedup is global, so chunk-local copies would
 both re-pay and re-side-effect duplicate resolutions, and NS targets
 are static A records, so the parent's digs rotate nothing.
 
-A batch build is bit-identical to a sequential one for any worker
-count: records, discovered map, NS addresses, dynamic query counters,
-resolver caches and query counts (``tests/test_determinism_caching.py``
-holds it to the same standard as the fresh-vs-warmed comparison).  A
-deferred build gives up two things by design (documented in
-docs/PERFORMANCE.md): vantage-resolver caches are not exported (cache
-keys are domain-unique fqdns no later stage re-digs), and the
-``discovered`` map keeps only domains that appear in the dataset's
-records (every analysis consumer joins it through ``by_domain``); the
-total discovered count stays exact.  Everything else matches a batch
-build's bytes (``tests/analysis/test_streambuild.py``).
+Each worker trims its chunk's ``discovered`` map
+(:func:`repro.analysis.dataset.trim_discovered`) before its result is
+pickled, as the in-process build trims its own, so every build returns
+one dataset product.  A batch build is bit-identical to a sequential
+one for any worker count: records, discovered map, NS addresses,
+dynamic query counters, resolver caches and query counts
+(``tests/test_determinism_caching.py`` holds it to the same standard as
+the fresh-vs-warmed comparison).  A deferred build gives up one thing
+by design (documented in docs/PERFORMANCE.md): vantage-resolver caches
+are not exported (cache keys are domain-unique fqdns no later stage
+re-digs); their query-count deltas still apply.  Everything else, the
+dataset product included, matches a batch build's bytes
+(``tests/analysis/test_streambuild.py``).
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.dataset import AlexaSubdomainsDataset, trim_discovered
 from repro.campaign.fanout import fork_map, partition_weighted
 from repro.dns.records import DnsResponse, RRType
 from repro.net.ipv4 import IPv4Address
@@ -304,6 +307,9 @@ def _build_shard(
     recorder.set_phase("ns_dig")
     ns_name_lists = builder.ns_dig_survey(records)
     timings["ns_survey"] = time.perf_counter() - start
+    discovered = trim_discovered(
+        discovered, records, cloudfront_records, other_cdn
+    )
 
     counter_deltas: Dict[Tuple[str, str], int] = {}
     for key, count in world.dns.dynamic_query_counts().items():
@@ -432,8 +438,6 @@ def build_forked(builder, workers: int):
     Callers go through :meth:`DatasetBuilder.build`, which gates on
     :meth:`DatasetBuilder.can_shard`.
     """
-    from repro.analysis.dataset import AlexaSubdomainsDataset
-
     world = builder.world
     sites = world.alexa.sites
     deferred = world.pending_tenants
@@ -525,17 +529,7 @@ def build_forked(builder, workers: int):
             cloudfront_records.extend(result.cloudfront_records)
             other_cdn.update(result.other_cdn)
             total += result.total
-            if deferred:
-                wanted = {record.domain for record in result.records}
-                wanted.update(
-                    record.domain for record in result.cloudfront_records
-                )
-                wanted.update(result.other_cdn)
-                for domain, subdomains in result.discovered.items():
-                    if domain in wanted:
-                        discovered[domain] = subdomains
-            else:
-                discovered.update(result.discovered)
+            discovered.update(result.discovered)
             for vantage_name, (query_delta, entries) in (
                 result.resolver_payload.items()
             ):

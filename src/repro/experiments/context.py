@@ -46,9 +46,9 @@ suite) holds at most one finished run's heap.
 and releases the tenant population in forked rank chunks, bounding
 memory (docs/PERFORMANCE.md, "The streaming data plane").  Such a
 world has no tenants until that build runs, so the context runs it as
-soon as the world exists.  It refuses an artifact store (a releasing
-build trims the dataset's ``discovered`` map, so its product differs
-from a batch build's) and an epoch (epoch steps need every plan).
+soon as the world exists.  Its products equal a batch world's, so the
+two share an artifact store.  It refuses an epoch (epoch steps need
+every plan).
 """
 
 from __future__ import annotations
@@ -101,11 +101,6 @@ class ExperimentContext:
         epoch=None,
         defer_tenants: bool = False,
     ):
-        if defer_tenants and artifact_store is not None:
-            raise ValueError(
-                "a deferred world cannot share an artifact store: its "
-                "releasing build trims the dataset's discovered map"
-            )
         if defer_tenants and epoch is not None:
             raise ValueError(
                 "a deferred world cannot follow an epoch: epoch steps "
@@ -228,7 +223,8 @@ class ExperimentContext:
         # The capture's own side effects presuppose the dataset
         # build's (the same ordering rule the miss path enforces).
         self._build_dataset()
-        self.world.capture_trace()
+        with self._stage("capture"):
+            self.world.capture_trace()
 
     def _build_dataset(self) -> None:
         """Run the real §2.1 build against this context's world, once.

@@ -40,23 +40,15 @@ REGION_HOST_COUNTRY: Dict[str, str] = {
 
 
 class CustomerModel:
-    """Per-domain customer-country lookups over a set of plans."""
+    """Per-domain customer-country lookups over a domain → country
+    mapping, which the model keeps as given.
 
-    def __init__(self, plans):
-        self._country: Dict[str, Optional[str]] = {
-            plan.domain: plan.customer_country for plan in plans
-        }
+    The world collects the mapping while it deploys, so a build that
+    releases plan objects as it goes need not keep every plan alive.
+    """
 
-    @classmethod
-    def from_mapping(cls, country_by_domain) -> "CustomerModel":
-        """A model over an already-collected domain → country mapping.
-
-        The chunked world build releases plan objects as it goes, so it
-        accumulates this mapping instead of keeping every plan alive.
-        """
-        model = cls(())
-        model._country = dict(country_by_domain)
-        return model
+    def __init__(self, country_by_domain: Dict[str, Optional[str]]):
+        self._country = country_by_domain
 
     def customer_country(self, domain: str) -> Optional[str]:
         """The domain's dominant client country, or None if the web

@@ -86,17 +86,13 @@ class PlanGenerator:
 
     # -- public API -------------------------------------------------------
 
-    def generate(self) -> List[DomainPlan]:
-        """Plans for the whole ranking, notables included."""
-        return [self.plan_site(site) for site in self.alexa]
-
     def plan_site(self, site) -> DomainPlan:
-        """The plan for one ranked site.
+        """The plan for one ranked site, notables included.
 
         Sampling consumes the shared ``plans`` stream, so callers must
-        visit sites in rank order — the chunked world build does, one
-        rank window at a time, and gets the exact plans a whole-list
-        :meth:`generate` would have produced.
+        visit sites in rank order — :meth:`World.ensure_deployed_through`
+        does, one rank window at a time, so any split into windows
+        yields the same plans.
         """
         notable = notable_by_domain(site.domain)
         if notable is not None:

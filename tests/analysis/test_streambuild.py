@@ -6,8 +6,9 @@ Also covers the conditions a deferred world builds under: forkable
 ones (outage drills, live event sinks) release tenants, the in-process
 ones (partial range coverage, no fork) deploy everything first, and
 both match the batch world.  Last, the same parity through
-``ExperimentContext(defer_tenants=True)``, which refuses the artifact
-store and the epoch a deferred world cannot serve."""
+``ExperimentContext(defer_tenants=True)``, which shares an artifact
+store with a batch context and refuses the epoch a deferred world
+cannot serve."""
 
 import os
 
@@ -97,14 +98,15 @@ class TestChunkedEqualsBatch:
     def test_discovered_restriction_is_consistent(self, batch, chunked):
         _, batch_dataset = batch
         _, dataset = chunked
-        # Restricted, but every kept entry matches the batch map and
-        # every domain an analysis can join on is present.
-        for domain, subs in dataset.discovered.items():
-            assert batch_dataset.discovered.get(domain) == subs
+        # Every build trims the map the same way, in rank order, to
+        # the domains an analysis can join on.
+        assert list(dataset.discovered.items()) == list(
+            batch_dataset.discovered.items()
+        )
         needed = {r.domain for r in dataset.records}
         needed.update(r.domain for r in dataset.cloudfront_records)
         needed.update(dataset.other_cdn_subdomains)
-        assert needed <= set(dataset.discovered)
+        assert needed == set(dataset.discovered)
 
     def test_world_state_identical(self, batch, chunked):
         batch_world, _ = batch
@@ -301,11 +303,11 @@ def _context_view(context):
     }
 
 
-def _context(deferred, workers):
+def _context(deferred, workers, store=None):
     return ExperimentContext(
         WorldConfig(seed=SEED, num_domains=DOMAINS),
         WanConfig(rounds=2, workers=workers), workers=workers,
-        defer_tenants=deferred,
+        artifact_store=store, defer_tenants=deferred,
     )
 
 
@@ -343,13 +345,22 @@ class TestDeferredContext:
         assert context.dataset is context._dataset
         assert world.traffic_domains()
 
-    def test_refuses_an_artifact_store(self, tmp_path):
-        with pytest.raises(ValueError, match="artifact store"):
-            ExperimentContext(
-                WorldConfig(seed=SEED, num_domains=150),
-                artifact_store=ArtifactStore(tmp_path),
-                defer_tenants=True,
-            )
+    def test_shares_an_artifact_store_across_modes(
+        self, monkeypatch, tmp_path, batch_context_view
+    ):
+        # Both modes build one dataset product, so a store either one
+        # fills serves the other warm: nothing missed, nothing changed.
+        if not hasattr(os, "fork"):
+            pytest.skip("chunk workers need os.fork")
+        monkeypatch.setattr(shards, "CHUNK_SIZE", 80)
+        for cold_deferred in (False, True):
+            root = tmp_path / ("deferred" if cold_deferred else "batch")
+            cold = _context(cold_deferred, 0, ArtifactStore(root))
+            assert _context_view(cold) == batch_context_view
+            store = ArtifactStore(root)
+            warm = _context(not cold_deferred, 0, store)
+            assert _context_view(warm) == batch_context_view
+            assert store.stats.misses == 0 and store.stats.hits == 3
 
     def test_refuses_an_epoch(self):
         config = WorldConfig(seed=SEED, num_domains=150)

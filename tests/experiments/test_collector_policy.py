@@ -15,12 +15,13 @@ import pytest
 from repro.analysis import shards
 from repro.analysis.dataset import DatasetBuilder
 from repro.analysis.wan import WanAnalysis, WanConfig
+from repro.artifacts import ArtifactStore
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.fanout import fork_map
 from repro.experiments import ExperimentContext
 from repro.experiments import context as context_module
 from repro.flags import set_columnar_enabled
-from repro.world import WorldConfig
+from repro.world import World, WorldConfig
 
 
 def collector_state():
@@ -37,9 +38,10 @@ def thawed_heap():
     gc.collect()
 
 
-def make_context(seed=7, domains=400):
+def make_context(seed=7, domains=400, store=None):
     return ExperimentContext(
-        WorldConfig(seed=seed, num_domains=domains), WanConfig(rounds=2)
+        WorldConfig(seed=seed, num_domains=domains), WanConfig(rounds=2),
+        artifact_store=store,
     )
 
 
@@ -89,6 +91,38 @@ def test_deferred_stage_builds_leave_no_cyclic_garbage(monkeypatch):
     # World, dataset (five chunks, each released) and capture.
     assert found == {0: 0, 1: 0, 2: 0}
     assert not context.world.deployer.deployed
+
+
+def test_warm_capture_replay_is_a_paused_frozen_stage(
+    monkeypatch, tmp_path
+):
+    """A warm store serves the capture without a world; once the world
+    materializes, its capture replay is the pass's one ``capture``
+    stage: run with the collector paused, and its heap frozen."""
+    cold = make_context(store=ArtifactStore(tmp_path))
+    cold.dataset
+    cold.trace
+    seen = []
+    capture_trace = World.capture_trace
+
+    def observed_capture_trace(self):
+        seen.append(collector_state())
+        return capture_trace(self)
+
+    monkeypatch.setattr(World, "capture_trace", observed_capture_trace)
+    warm = make_context(store=ArtifactStore(tmp_path))
+    warm.dataset
+    warm.trace
+    assert not seen and warm._world is None
+    warm.world  # replays the dataset build, then the capture
+    stages = [
+        span.name for span in warm.obs.tracer.walk()
+        if span.category == "stage"
+    ]
+    assert stages.count("capture") == 1
+    [(enabled, frozen)] = seen
+    assert enabled is False
+    assert gc.get_freeze_count() > frozen
 
 
 def test_stages_run_paused_and_end_frozen(monkeypatch):

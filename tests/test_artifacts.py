@@ -216,16 +216,23 @@ class TestContextCaching:
 
 
 class TestBuildOrder:
-    def test_trace_first_matches_dataset_first_without_a_store(self):
+    @pytest.mark.parametrize(
+        "deferred", [False, True], ids=["batch", "deferred"]
+    )
+    def test_trace_first_matches_dataset_first_without_a_store(
+        self, deferred
+    ):
         # The capture resolves its traffic domains through live DNS, so
         # it depends on the dataset build's side effects: the context
         # runs that build first whichever product is asked for first,
-        # with or without a store.
+        # with or without a store, in either world mode.
         config = WorldConfig(seed=7, num_domains=400)
-        dataset_first = ExperimentContext(config, WAN)
+        dataset_first = ExperimentContext(
+            config, WAN, defer_tenants=deferred
+        )
         dataset_first.dataset
         expected = dataset_first.trace.flow_table()
-        trace_first = ExperimentContext(config, WAN)
+        trace_first = ExperimentContext(config, WAN, defer_tenants=deferred)
         table = trace_first.trace.flow_table()
         assert len(table) == len(expected) > 0
         for name, _ in _COLUMN_DTYPES:

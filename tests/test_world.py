@@ -1,7 +1,12 @@
-"""World assembly tests: determinism, scaling, wiring."""
+"""World assembly tests: determinism, scaling, wiring, and the
+capture's traffic domains."""
+
+import os
 
 import pytest
 
+from repro.analysis.dataset import DatasetBuilder
+from repro.epochs import Epoch, resolve_epoch_plan
 from repro.world import World, WorldConfig
 
 
@@ -84,3 +89,37 @@ class TestWiring:
         assert 0 < info["cloud_using_domains"] < info["alexa_domains"]
         assert info["elb_physical"] <= info["ec2_instances"]
         assert info["dns_zones"] >= info["alexa_domains"]
+
+
+def _traffic_world(kind):
+    config = WorldConfig(seed=7, num_domains=400)
+    if kind == "batch":
+        return World(config)
+    if kind == "epoch-1":
+        epoch = Epoch(resolve_epoch_plan("steady-growth"), 1, config)
+        return epoch.build_world()
+    world = World(config, defer_tenants=True)
+    if kind == "in-process-deferred":
+        # Partial range coverage keeps the build in process.
+        DatasetBuilder(world, range_coverage=0.5).build(0)
+    else:
+        if not hasattr(os, "fork"):
+            pytest.skip("chunk workers need os.fork")
+        DatasetBuilder(world).build(0)
+        assert not world.deployer.deployed
+    return world
+
+
+class TestTrafficDomains:
+    @pytest.mark.parametrize(
+        "kind", ["batch", "in-process-deferred", "released", "epoch-1"]
+    )
+    def test_decided_once(self, kind):
+        # Each world decides its traffic list once: repeated calls, and
+        # calls after the capture that used it, return the same list.
+        world = _traffic_world(kind)
+        first = world.traffic_domains()
+        assert first
+        assert world.traffic_domains() == first
+        world.capture_trace()
+        assert world.traffic_domains() == first

@@ -1,28 +1,19 @@
 """Unit tests for the customer-geography model."""
 
 from repro.workload.customers import CustomerModel
-from repro.workload.plans import DomainPlan
-
-
-def make_plan(domain, country):
-    return DomainPlan(
-        domain=domain, rank=1, category="ec2_other", axfr_allowed=False,
-        dns_hosting="external_provider", ns_count=2,
-        customer_country=country,
-    )
 
 
 class TestCustomerModel:
     def test_lookup(self):
-        model = CustomerModel([make_plan("a.com", "US")])
+        model = CustomerModel({"a.com": "US"})
         assert model.customer_country("a.com") == "US"
 
     def test_unidentified_domain(self):
-        model = CustomerModel([make_plan("a.com", None)])
+        model = CustomerModel({"a.com": None})
         assert model.customer_country("a.com") is None
 
     def test_unknown_domain(self):
-        model = CustomerModel([])
+        model = CustomerModel({})
         assert model.customer_country("ghost.com") is None
 
     def test_continent_mapping(self):

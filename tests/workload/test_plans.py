@@ -14,7 +14,7 @@ def plans():
     streams = StreamRegistry(13)
     alexa = AlexaRanking(4000, streams.stream("alexa"))
     generator = PlanGenerator(Mixtures(), streams, alexa)
-    return generator.generate(), generator
+    return [generator.plan_site(site) for site in alexa], generator
 
 
 class TestPopulation:
