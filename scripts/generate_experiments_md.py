@@ -28,8 +28,8 @@ regenerated by this repository's simulated measurement study.
 Generated by `scripts/generate_experiments_md.py` with
 `--seed {seed} --domains {domains}`; regenerate after calibration
 changes.  Regeneration can use `--workers N` (bit-identical sharded
-campaigns) and is served from the content-addressed artifact cache on
-repeat runs — see
+campaigns), and repeat runs are served the §5 WAN campaign from the
+content-addressed artifact cache — see
 [docs/PERFORMANCE.md](docs/PERFORMANCE.md) for the determinism
 invariants and the key scheme.  The scale is reduced from the paper's (Alexa top {domains:,}
 instead of 1M; proportionally fewer probe rounds), so **absolute counts
@@ -78,7 +78,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--artifact-dir", metavar="DIR", default=".repro-artifacts",
-        help="content-addressed artifact cache directory",
+        help="content-addressed artifact cache directory (the §5 WAN "
+             "matrices)",
     )
     parser.add_argument(
         "--no-artifact-cache", action="store_true",

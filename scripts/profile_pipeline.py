@@ -41,9 +41,9 @@ pipeline with the columnar data plane disabled (the scalar reference
 paths), fails unless every digest is identical, and records per-stage
 scalar-vs-columnar speedups.  Unless ``--no-cache-check`` is given,
 the script also runs the pipeline twice through a throwaway artifact
-cache, in the same world mode — a cold run that populates it and a
-warm run that must be served entirely from it — and fails unless both
-match the uncached digests.
+cache, in the same world mode — a cold run that stores the WAN
+matrices and a warm run that must be served them without a miss — and
+fails unless both match the uncached digests.
 
 With ``--repeat K`` each stage's reported time is the best of K full
 pipeline runs (the digests must agree across runs, and do — caching is
@@ -92,6 +92,7 @@ from repro.capture.generator import CaptureConfig
 from repro.experiments.context import ExperimentContext
 from repro.flags import set_columnar_enabled
 from repro.obs import Observability
+from repro.obs.trace import nested_stage_seconds
 from repro.sim import set_rng_observer
 from repro.world import WorldConfig
 
@@ -275,36 +276,6 @@ class _SampledContext(ExperimentContext):
                 yield
 
 
-def _stage_self_seconds(tracer) -> dict:
-    """Seconds per stage name, each stage span less the stage spans
-    nested in it.
-
-    A warm pass materializes its world inside the traceroute stage,
-    which then runs the world, dataset and capture stages within its
-    own span; charging each stage only its self time keeps the stage
-    totals from counting that work twice.
-    """
-    totals: dict = {}
-
-    def outer_stage_seconds(spans) -> float:
-        """Seconds of the outermost stage spans among ``spans`` and
-        their descendants, recording each stage's self time."""
-        seconds = 0.0
-        for span in spans:
-            nested = outer_stage_seconds(span.children)
-            if span.category == "stage" and span.duration_s is not None:
-                totals[span.name] = (
-                    totals.get(span.name, 0.0) + span.duration_s - nested
-                )
-                seconds += span.duration_s
-            else:
-                seconds += nested
-        return seconds
-
-    outer_stage_seconds(tracer.roots)
-    return totals
-
-
 def measure(
     config: WorldConfig, wan_rounds: int, workers: int, *,
     deferred: bool = False, columnar: bool = True,
@@ -318,13 +289,14 @@ def measure(
     artifact cache and ``epoch`` through a world timeline; outputs,
     and the probe event log, must be bit-identical any way around.
     The products are read in the order dataset → capture → WAN →
-    traceroute, so an uncached pass builds its world first and a warm
-    one materializes the world only for the traceroute sweep, which
-    then drains the queued side-effect replays (the pure-accelerator
-    rule, end to end).  Returns the stage timings (each stage's self
-    time, :func:`_stage_self_seconds`), the dataset steps and
-    campaigns, the six digests, the pass's ``rss_kib`` and wall clock,
-    and its observability plane; the context itself is dropped.
+    traceroute, so every pass builds its world, dataset and capture
+    first, and a warm pass serves the WAN matrices from the store and
+    replays the campaign's side effects on that world.  Returns the
+    stage timings (each stage's self time: its span less the stage
+    spans nested in it, :func:`~repro.obs.trace.nested_stage_seconds`),
+    the dataset steps and campaigns, the six digests, the pass's
+    ``rss_kib`` and wall clock, and its observability plane; the
+    context itself is dropped.
     """
     obs = Observability.collecting(events=events)
     previous_observer = obs.install_rng_counter()
@@ -351,9 +323,10 @@ def measure(
         set_rng_observer(previous_observer)
 
     tracer = obs.tracer
+    nested = nested_stage_seconds(tracer, "stage")
     timings = {
-        f"{name}_s": seconds
-        for name, seconds in _stage_self_seconds(tracer).items()
+        f"{name}_s": seconds - nested.get(name, 0.0)
+        for name, seconds in tracer.seconds_by_name("stage").items()
     }
     timings["total_s"] = sum(timings.values())
     _, high_water = _rss_sample()
@@ -373,7 +346,9 @@ def cache_check(
 ) -> dict:
     """Cold-vs-warm artifact-cache passes in the timed passes' world
     mode; both must match the uncached digests and the warm pass must
-    be served without a single miss."""
+    be served without a single miss.  Only the WAN matrices pass
+    through the store: the warm pass rebuilds the world, dataset and
+    capture, and must still match once the campaign is served."""
     cache_dir = tempfile.mkdtemp(prefix="repro-artifacts-bench-")
     try:
         result = {}
@@ -411,12 +386,12 @@ def epoch_series_check(
     digests and (b) every later epoch being served at least partly
     from the cache.
 
-    Epoch 0 carries no fingerprint components, so its artifact keys —
-    and therefore its digests — are exactly the single-shot
-    pipeline's.  Each later epoch rebuilds only the artifact kinds its
-    plan's steps diffed and is served the rest (the WAN matrices,
-    under every bundled plan) from the store; the per-epoch cache
-    deltas record that split.
+    Epoch 0 carries no fingerprint components, so its WAN key — and
+    its digests — are exactly the single-shot pipeline's.  Every epoch
+    builds its own world, dataset and capture; a later epoch is served
+    the WAN matrices from the store unless its plan's steps touched
+    them (no bundled plan's do), and the per-epoch cache deltas record
+    that.
     """
     from repro.epochs import Epoch, resolve_epoch_plan
 

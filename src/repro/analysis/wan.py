@@ -14,7 +14,7 @@ diversity table (Table 16).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,7 +24,7 @@ from repro.campaign.probes import TracerouteCampaign, WanMeasurementCampaign
 from repro.cloud.base import Instance, InstanceRole, InstanceType
 from repro.faults.scenarios import OutageScenario
 from repro.internet.vantage import VantagePoint
-from repro.obs import NOOP, Observability
+from repro.obs import NOOP, MetricsRegistry, Observability
 from repro.probing.traceroute import TracerouteTool
 from repro.sim import advance_gauss
 from repro.world import World
@@ -98,8 +98,11 @@ class WanAnalysis:
         self._throughput: Optional[Dict[Tuple[str, str], List[float]]] = None
         #: Frontier rows per metric (:meth:`optimal_k_regions`).
         self._frontiers: Dict[str, List[dict]] = {}
-        #: Called once with (latency, throughput) right after a campaign
-        #: fills the matrices; the artifact cache stores them from here.
+        #: Called once with (latency, throughput, counter deltas) right
+        #: after a campaign fills the matrices; the artifact cache
+        #: stores them from here.  The deltas are the campaign's
+        #: deterministic counter increments
+        #: (``MetricsRegistry.take_counter_deltas`` tuples).
         self.on_measured: Optional[Callable] = None
 
     @property
@@ -237,10 +240,32 @@ class WanAnalysis:
         """
         if self._latency is not None:
             return
-        if self._columnar_measure():
-            if self.on_measured is not None:
-                self.on_measured(self._latency, self._throughput)
-            return
+        # The world's own build is not the campaign's: materialize it
+        # before the counter checkpoint.
+        self.world
+        obs = self.obs
+        if self.on_measured is not None and not obs.metrics.enabled:
+            # The stored counters must not depend on whether this run
+            # collects metrics: count the campaign in a registry of
+            # its own.
+            self.obs = replace(obs, metrics=MetricsRegistry())
+        metrics = self.obs.metrics
+        checkpoint = metrics.counter_checkpoint()
+        try:
+            if not self._columnar_measure():
+                self._engine_measure()
+        finally:
+            self.obs = obs
+        if self.on_measured is not None:
+            deltas = metrics.take_counter_deltas(checkpoint)
+            obs.metrics.apply_counter_deltas(deltas)
+            self.on_measured(self._latency, self._throughput, [
+                (name, labels, value, volatile)
+                for name, labels, value, volatile in deltas
+                if not volatile
+            ])
+
+    def _engine_measure(self) -> None:
         campaign = self._campaign()
         result = self._engine().run(campaign, workers=self.config.workers)
         latency: Dict[Tuple[str, str], List[float]] = defaultdict(list)
@@ -278,8 +303,6 @@ class WanAnalysis:
                     )
         self._latency = dict(latency)
         self._throughput = dict(throughput)
-        if self.on_measured is not None:
-            self.on_measured(self._latency, self._throughput)
 
     def latency_series(self, client_name: str, region: str) -> List[float]:
         self._measure()

@@ -1,11 +1,12 @@
 """Content-addressed caching for expensive pipeline artifacts.
 
-The reproduction's costly products — the §2.1 Alexa subdomains dataset,
-the §3 campus capture trace, the §5 WAN measurement matrices — are pure
-functions of (configuration, code version).  This package caches them on
-disk under keys derived from exactly those inputs, so repeat runs of the
-same configuration skip the builds entirely while any change to a config
-knob or to the ``repro`` sources naturally misses and rebuilds.
+The §5 WAN measurement matrices are a pure function of (configuration,
+code version), and serving them skips the campaign.  This package
+caches them on disk under keys derived from exactly those inputs, so
+repeat runs of the same configuration skip the campaign while any
+change to a config knob or to the ``repro`` sources naturally misses
+and rebuilds.  (The §2.1 dataset and the §3 capture are not cached:
+``ExperimentContext`` builds them against its world on every run.)
 
 Payloads are digest-verified on load; stale or corrupt files are deleted
 and treated as misses, falling back to a rebuild.

@@ -9,12 +9,6 @@ exact :class:`repro.capture.flow.Trace` interface: ``len``/
 pipeline digest reads), the Bro analyzer reads the table itself
 (:meth:`ColumnarTrace.flow_table`), and iteration materializes
 :class:`FlowRecord` objects lazily for any row-oriented consumer.
-
-Serialization is digest-stable by construction: ``__reduce__`` encodes
-each column via ``ndarray.tobytes`` (little-endian fixed dtypes) plus
-the pools, so equal captures pickle to equal bytes regardless of how
-the arrays were produced — and the payload is a fraction of a pickled
-``FlowRecord`` list.
 """
 
 from __future__ import annotations
@@ -26,9 +20,7 @@ import numpy as np
 from repro.capture.flow import FlowRecord, Trace
 from repro.net.ipv4 import IPv4Address
 
-_ENCODING_VERSION = 1
-
-#: (attribute, dtype) for every numeric/coded column, in encode order.
+#: (attribute, dtype) for every numeric/coded column.
 _COLUMN_DTYPES = (
     ("ts", "<f8"),
     ("duration", "<f8"),
@@ -199,39 +191,6 @@ class FlowTable:
             self.record(i, addr_cache) for i in range(len(self))
         ]
 
-    # -- digest-stable encoding ---------------------------------------
-
-    def encode(self) -> dict:
-        payload = {
-            "version": _ENCODING_VERSION,
-            "n": len(self),
-        }
-        for name, dtype in _COLUMN_DTYPES:
-            payload[name] = getattr(self, name).astype(
-                dtype, copy=False
-            ).tobytes()
-        for name in _POOL_NAMES:
-            payload[name] = list(getattr(self, name))
-        return payload
-
-    @classmethod
-    def decode(cls, payload: dict) -> "FlowTable":
-        if payload.get("version") != _ENCODING_VERSION:
-            raise ValueError(
-                f"unknown FlowTable encoding: {payload.get('version')!r}"
-            )
-        fields = {
-            name: np.frombuffer(payload[name], dtype=dtype).copy()
-            for name, dtype in _COLUMN_DTYPES
-        }
-        for name in _POOL_NAMES:
-            fields[name] = list(payload[name])
-        return cls(**fields)
-
-
-def _rebuild_columnar_trace(payload: dict) -> "ColumnarTrace":
-    return ColumnarTrace(FlowTable.decode(payload))
-
 
 class ColumnarTrace(Trace):
     """A :class:`Trace` served from a :class:`FlowTable`.
@@ -284,10 +243,3 @@ class ColumnarTrace(Trace):
         # materialized list can be out of order.
         if self._materialized is not None:
             self._materialized.sort(key=lambda flow: flow.ts)
-
-    def __reduce__(self):
-        if self._dirty:
-            # Mutated after materialization: fall back to the plain
-            # row-list representation.
-            return (Trace, (tuple(self._materialized),))
-        return (_rebuild_columnar_trace, (self._table.encode(),))

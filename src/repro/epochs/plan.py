@@ -11,11 +11,12 @@ rest of the pipeline needs:
   (``derive_rng(seed, "epoch", e, pos, step.name)``).  Epoch 0 is
   exactly ``World(config)``: byte-identical to the single-shot
   pipeline.
-* ``fingerprint(kind)`` — a per-artifact-kind digest over the canonical
-  specs of every step through this epoch whose ``affects`` set contains
-  ``kind``.  ``None`` means "no step touched this kind": the artifact
-  key component is omitted entirely, the key equals the epoch-0 key,
-  and the content-addressed store serves the cached build.
+* ``fingerprint(kind)`` — a per-kind digest (``dataset``, ``capture``,
+  ``wan``) over the canonical specs of every step through this epoch
+  whose ``affects`` set contains ``kind``.  ``None`` means "no step
+  touched this kind".  For ``wan``, the one kind the artifact store
+  caches, the key component is then omitted entirely, the key equals
+  the epoch-0 key, and the store serves the cached matrices.
 
 Plans are resolved by name through :func:`resolve_epoch_plan`,
 mirroring the fault-scenario registry.

@@ -3,11 +3,11 @@
 ``run_series`` executes the full experiment pipeline once per epoch.
 Epoch 0 is exactly today's single-shot run — same world, same artifact
 keys, same ``run-<hash>`` manifest directory.  Each later epoch builds
-its world through the plan's cumulative steps and re-consults the
-content-addressed store with epoch-fingerprinted keys: artifact kinds
-no step touched keep their epoch-0 keys and are served from cache (the
-WAN matrices hit at *every* epoch under every bundled plan), so only
-the diffed portion of the pipeline re-probes.
+its world, dataset and capture through the plan's cumulative steps and
+looks up the WAN matrices under an epoch-fingerprinted key: while no
+step touched them they keep their epoch-0 key and are served from
+cache (at *every* epoch under every bundled plan), so the §5 campaign
+runs once per series.
 
 Two output families per series:
 
@@ -293,9 +293,7 @@ def run_series(
         )
         if out_root is not None:
             # Epoch 0 is the single-shot run and carries the TSV
-            # release; later epochs skip it (exporting reads
-            # context.world, which would force side-effect replays on
-            # an otherwise fully warm epoch).
+            # release; later epochs skip it.
             manifest.write(
                 out_root, results=results,
                 context=context if index == 0 else None,

@@ -12,8 +12,10 @@ changed.
 The diff is what makes incremental reuse auditable: the series
 manifest stores it verbatim, and the per-kind epoch fingerprints
 (:meth:`repro.epochs.plan.Epoch.fingerprint`) are built from each
-step's declared ``affects`` set, so an artifact kind no step touched
-keeps its epoch-0 key and hits the content-addressed store.
+step's declared ``affects`` set.  ``series.json`` records all three;
+the WAN fingerprint also joins the WAN matrices' artifact key, so
+while no step touches them they keep their epoch-0 key and hit the
+content-addressed store.
 
 A step draws only from the RNG it is handed:
 :meth:`repro.epochs.plan.Epoch.build_world` derives one stream per
@@ -32,11 +34,11 @@ from repro.dns.records import RRType, ResourceRecord
 from repro.workload.mixtures import sample_discrete
 from repro.workload.plans import SubdomainPlan
 
-#: Artifact kinds a step may invalidate.  ``wan`` is listed for
-#: completeness: no current step affects it — WAN paths key on
-#: (provider, region) and the default probe policy never draws the
-#: instance-keyed loss lanes — so WAN artifacts cache-hit at every
-#: epoch (verified by tests/epochs/test_series.py).
+#: Pipeline products a step may change.  No current step affects
+#: ``wan`` — WAN paths key on (provider, region) and the default probe
+#: policy never draws the instance-keyed loss lanes — so the WAN
+#: matrices cache-hit at every epoch (verified by
+#: tests/epochs/test_series.py).
 AFFECT_KINDS = ("dataset", "capture", "wan")
 
 

@@ -79,8 +79,8 @@ def take_world_snapshot(
 ) -> Snapshot:
     """Summarize one (world, dataset) pair into a :class:`Snapshot`.
 
-    The series runner passes the cached dataset product, so a warm
-    epoch never rebuilds anything to snapshot itself.
+    The series runner passes the context's dataset, so the snapshot
+    reuses the epoch's own build.
     """
     clouduse = CloudUseAnalysis(world, dataset)
     regions = RegionAnalysis(world, dataset)

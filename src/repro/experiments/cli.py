@@ -128,8 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--artifact-dir", metavar="DIR", default=".repro-artifacts",
         help="directory for the content-addressed artifact cache "
-             "(dataset / capture / WAN products, keyed on config + "
-             "code version)",
+             "(the §5 WAN matrices, keyed on config + code version)",
     )
     parser.add_argument(
         "--no-artifact-cache", action="store_true",

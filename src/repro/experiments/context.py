@@ -4,32 +4,24 @@ Building the world, the Alexa dataset, the capture, and the WAN
 campaign dominates runtime; experiments share one context so each
 expensive artifact is produced exactly once per configuration.
 
+The dataset and the capture always build against the context's world,
+dataset first: the capture generator resolves traffic domains through
+live DNS, so the trace depends on the rotation counters and resolver
+caches the dataset build leaves behind, and asking for the trace
+builds the dataset before it.
+
 With an :class:`~repro.artifacts.ArtifactStore` attached, the context
-first consults the content-addressed cache: dataset, capture trace, and
-WAN matrices are keyed on their configurations plus the code
-fingerprint, so a warm cache skips those builds entirely — including
-the world build, which only the cache misses need.
-
-One ordering subtlety is load-bearing: the capture generator resolves
-traffic domains through live DNS, so the trace depends on the rotation
-counters and resolver caches the dataset build leaves behind.  When the
-trace must be built, the context therefore always runs the real
-dataset build against its world first — with or without a store, and
-even if the dataset *product* was itself a cache hit — so the trace is
-the same whichever product is asked for first, and every cached
-artifact is identical to a cold sequential pipeline.
-
-More generally, the cache must be a *pure accelerator* even for
-consumers that bypass the cached products and read world state
-directly (probing experiments, zone analyses): each build has world
-side effects — dataset: rotation counters and resolver caches;
-capture: the campus resolver digs and the generator's draws; WAN: the
-measurement fleet and the jitter/noise stream positions.  A cache hit
-therefore queues a *side-effect replay*; if (and only if) the world is
-later materialized, the queued replays run first, in the order the
-products were served, leaving the world exactly where a cold run's
-call sequence would.  A fully warm product-only run never materializes
-the world and pays for none of this.
+first looks up the WAN matrices, keyed on their configuration plus the
+code fingerprint: the one product whose hit skips its build, the §5
+campaign.  The campaign also changes the world (it launches the
+measurement fleet and draws from the jitter and noise streams), and
+experiments that read the world directly depend on that state.  A hit
+therefore replays those side effects, at once if the world exists and
+otherwise the moment it materializes, so the world ends where a cold
+run's call sequence leaves it.  The hit also re-applies the campaign's
+deterministic counter deltas, stored with the matrices, so the run's
+metrics snapshot equals a cold run's.  A run that reads only the WAN
+matrices never builds a world.
 
 The context also owns the process's collector policy.  Each stage
 (world, dataset, capture) builds with the cyclic collector paused and
@@ -56,7 +48,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.analysis.dataset import AlexaSubdomainsDataset, DatasetBuilder
 from repro.analysis.clouduse import CloudUseAnalysis
@@ -113,15 +105,15 @@ class ExperimentContext:
         self.workers = workers
         self.artifacts = artifact_store
         #: Outage drill threaded into every engine campaign this context
-        #: runs (and into the dataset/WAN artifact keys — a drilled run
-        #: must never be served a healthy run's products).
+        #: runs (and into the WAN artifact key — a drilled run must
+        #: never be served a healthy run's matrices).
         self.scenario = scenario
         #: Point on a world timeline (:class:`repro.epochs.plan.Epoch`)
         #: or ``None`` for the classic single-shot pipeline.  When set,
-        #: the world is built through the epoch timeline and artifact
-        #: keys gain a per-kind epoch fingerprint — omitted whenever no
-        #: step through this epoch touched the kind, so those artifacts
-        #: keep their epoch-0 keys and hit the store.
+        #: the world is built through the epoch timeline and the WAN
+        #: key gains the epoch's ``wan`` fingerprint — omitted while no
+        #: step through this epoch touched the matrices, so they keep
+        #: their epoch-0 key and hit the store.
         self.epoch = epoch
         #: Build a deferred world, whose dataset build releases tenant
         #: state chunk group by chunk group (module docstring).
@@ -134,12 +126,10 @@ class ExperimentContext:
         if artifact_store is not None and not artifact_store.obs.enabled:
             artifact_store.obs = self.obs
         self._world: Optional[World] = None
-        #: Side-effect replays queued by cache hits, run (in serve
-        #: order) the moment the world materializes — see the module
-        #: docstring's pure-accelerator rule.
-        self._replays: List[Callable[[], None]] = []
+        #: A WAN hit's side-effect replay, waiting for the world to
+        #: materialize (module docstring).
+        self._wan_replay: Optional[Callable[[], None]] = None
         self._dataset: Optional[AlexaSubdomainsDataset] = None
-        self._dataset_built_in_world = False
         self._trace: Optional[Trace] = None
         self._clouduse: Optional[CloudUseAnalysis] = None
         self._patterns: Optional[PatternAnalysis] = None
@@ -166,12 +156,6 @@ class ExperimentContext:
         return artifact_key(
             kind, {"world": self.world_config, **extra}
         )
-
-    def _dataset_key(self) -> str:
-        return self._key("dataset", range_coverage=1.0)
-
-    def _capture_key(self) -> str:
-        return self._key("capture")
 
     def _wan_key(self) -> str:
         # Worker counts never change outputs (the campaigns are
@@ -203,84 +187,41 @@ class ExperimentContext:
                         self.world_config,
                         defer_tenants=self.defer_tenants,
                     )
-            pending, self._replays = self._replays, []
-            for replay in pending:
-                replay()
             if self.defer_tenants:
                 # Its tenants exist only through the dataset build.
-                self._build_dataset()
+                self.dataset
+            if self._wan_replay is not None:
+                # A cold campaign gets a deferred world only with its
+                # dataset built; the replay waits for that build too.
+                replay, self._wan_replay = self._wan_replay, None
+                replay()
         return self._world
-
-    def _replay_or_defer(self, replay: Callable[[], None]) -> None:
-        """Run a cache hit's side-effect replay now if the world
-        already exists, else queue it for world materialization."""
-        if self._world is not None:
-            replay()
-        else:
-            self._replays.append(replay)
-
-    def _replay_capture(self) -> None:
-        # The capture's own side effects presuppose the dataset
-        # build's (the same ordering rule the miss path enforces).
-        self._build_dataset()
-        with self._stage("capture"):
-            self.world.capture_trace()
-
-    def _build_dataset(self) -> None:
-        """Run the real §2.1 build against this context's world, once.
-
-        Needed even when the dataset product came from the cache: the
-        build's DNS side effects are part of the state the capture
-        generator consumes.  The product becomes the context's dataset
-        unless the cache already served one.  The world is fetched
-        before the stage opens, so its own build (and a deferred
-        world's dataset build, or a queued replay) is never timed as
-        part of this stage, and never runs twice.
-        """
-        world = self.world
-        if self._dataset_built_in_world:
-            return
-        with self._stage("dataset"):
-            dataset = DatasetBuilder(
-                world, scenario=self.scenario, obs=self.obs
-            ).build(workers=self.workers)
-        self._dataset_built_in_world = True
-        if self._dataset is None:
-            self._dataset = dataset
 
     @property
     def dataset(self) -> AlexaSubdomainsDataset:
+        """The §2.1 dataset, built against this context's world.
+
+        The world is fetched before the stage opens, so its own build
+        is never timed as part of this stage; a deferred world builds
+        the dataset inside that fetch, and then it is done.
+        """
         if self._dataset is None:
-            if self.artifacts is not None:
-                key = self._dataset_key()
-                cached = self.artifacts.load("dataset", key)
-                if cached is not None:
-                    self._dataset = cached
-                    self._replay_or_defer(self._build_dataset)
-                    return self._dataset
-                self._build_dataset()
-                self.artifacts.store("dataset", key, self._dataset)
-            else:
-                self._build_dataset()
+            world = self.world
+            if self._dataset is None:
+                with self._stage("dataset"):
+                    self._dataset = DatasetBuilder(
+                        world, scenario=self.scenario, obs=self.obs
+                    ).build(workers=self.workers)
         return self._dataset
 
     @property
     def trace(self) -> Trace:
-        """The campus capture trace (cache-aware)."""
+        """The campus capture trace, generated after the dataset build
+        (module docstring)."""
         if self._trace is None:
-            key = None
-            if self.artifacts is not None:
-                key = self._capture_key()
-                cached = self.artifacts.load("capture", key)
-                if cached is not None:
-                    self._trace = cached
-                    self._replay_or_defer(self._replay_capture)
-                    return self._trace
-            self._build_dataset()  # drains any queued replays first
+            self.dataset
             with self._stage("capture"):
                 self._trace = self.world.capture_trace()
-            if key is not None:
-                self.artifacts.store("capture", key, self._trace)
         return self._trace
 
     @property
@@ -300,13 +241,21 @@ class ExperimentContext:
                 key = self._wan_key()
                 cached = self.artifacts.load("wan", key)
                 if cached is not None:
-                    analysis.preload_measurements(*cached)
-                    self._replay_or_defer(analysis.replay_side_effects)
+                    latency, throughput, counter_deltas = cached
+                    analysis.preload_measurements(latency, throughput)
+                    self.obs.metrics.apply_counter_deltas(counter_deltas)
+                    if self._world is None:
+                        self._wan_replay = analysis.replay_side_effects
+                    else:
+                        analysis.replay_side_effects()
                 else:
                     store = self.artifacts
 
-                    def save(latency, throughput, _key=key):
-                        store.store("wan", _key, (latency, throughput))
+                    def save(latency, throughput, counter_deltas, _key=key):
+                        store.store(
+                            "wan", _key,
+                            (latency, throughput, counter_deltas),
+                        )
 
                     analysis.on_measured = save
             self._wan = analysis
@@ -353,11 +302,12 @@ class ExperimentContext:
     def telemetry(self) -> dict:
         """Per-stage wall times and campaign telemetry for this
         context's builds, aggregated from the tracer's span tree.  Only
-        stages that actually ran appear; a fully warm artifact-cache
-        run reports none, and a :data:`~repro.obs.NOOP` plane reports
-        empty sections.  ``views_s`` charges each derived view (the
-        frontier per metric, the capture aggregate, the subdomain
-        zones) once, to its build, whichever experiment asked first."""
+        stages and campaigns that actually ran appear (WAN matrices
+        served from the artifact cache run no campaign), and a
+        :data:`~repro.obs.NOOP` plane reports empty sections.
+        ``views_s`` charges each derived view (the frontier per metric,
+        the capture aggregate, the subdomain zones) once, to its build,
+        whichever experiment asked first."""
         tracer = self.obs.tracer
         telemetry = {
             "stages_s": {

@@ -12,7 +12,7 @@ records, the fidelity rollup, and the deterministic metrics snapshot.
     <out-dir>/<run-id>/
         manifest.json     # everything deterministic, machine-readable
         timings.json      # wall-clock sidecar: stage/campaign/step
-                          # times, per-experiment elapsed, volatile
+                          # times, per-experiment self times, volatile
                           # metrics (cache hits, rates, RNG draws)
         summaries.txt     # the rendered tables/figures + comparisons
         fidelity.txt      # the human-facing fidelity report
@@ -38,6 +38,8 @@ from repro.artifacts.keys import code_fingerprint
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fidelity import FidelityReport
 from repro.experiments.spec import ExperimentSpec
+from repro.obs import NOOP
+from repro.obs.trace import nested_stage_seconds
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +116,7 @@ class RunManifest:
     #: pure function of (seed, config, code), safe for manifest.json.
     metrics: Dict[str, object] = field(default_factory=dict)
     #: Wall-clock sidecar: stage/step/campaign timings, per-experiment
-    #: elapsed, volatile metrics.  Written as ``timings.json``; never
+    #: self times, volatile metrics.  Written as ``timings.json``; never
     #: part of :meth:`as_dict` — the manifest must stay byte-identical
     #: run over run.
     timings: Dict[str, object] = field(default_factory=dict)
@@ -126,16 +128,26 @@ class RunManifest:
         runs: List[Tuple[ExperimentSpec, ExperimentResult, float]],
     ) -> "RunManifest":
         """Assemble the manifest from executed (spec, result, elapsed)
-        triples sharing one context."""
+        triples sharing one context.
+
+        Each experiment's ``experiments_s`` entry is its self time: its
+        elapsed time less the ``stage`` spans nested in its
+        ``experiment:<id>`` span, which ``stages_s`` already counts.
+        """
         scenario = (
             context.scenario.name if context.scenario is not None
             else None
         )
+        obs = getattr(context, "obs", NOOP)
+        nested = nested_stage_seconds(obs.tracer, "experiment")
         experiments = []
         experiments_s: Dict[str, float] = {}
         for spec, result, elapsed in runs:
             fidelity = result.fidelity
-            experiments_s[spec.experiment_id] = round(elapsed, 3)
+            experiments_s[spec.experiment_id] = round(
+                elapsed - nested.get(f"experiment:{spec.experiment_id}", 0.0),
+                3,
+            )
             experiments.append({
                 "id": spec.experiment_id,
                 "title": spec.headline,
@@ -161,11 +173,10 @@ class RunManifest:
         )
         world = context.world_config
         wan = context.wan_config
-        obs = getattr(context, "obs", None)
         metrics: Dict[str, object] = {}
         timings: Dict[str, object] = dict(context.telemetry())
         timings["experiments_s"] = experiments_s
-        if obs is not None and obs.metrics.enabled:
+        if obs.metrics.enabled:
             metrics = obs.metrics.deterministic_snapshot()
             timings["volatile_metrics"] = obs.metrics.volatile_snapshot()
         return cls(

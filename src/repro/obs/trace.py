@@ -229,5 +229,36 @@ class Tracer:
         return path
 
 
+def nested_stage_seconds(
+    tracer: Union[Tracer, NullTracer], category: str
+) -> Dict[str, float]:
+    """Seconds of the ``stage`` spans nested in each span of one
+    category, summed per span name.
+
+    Only the outermost nested stages count, so a stage built inside
+    another stage is not counted twice.  A span's self time is its
+    own seconds less this: an experiment's, once the stages it
+    triggered (the world, dataset and capture the first experiment to
+    ask builds) are taken out; a stage's, once the stages built
+    inside it are.
+    """
+    def outermost(spans) -> float:
+        return sum(
+            span.duration_s
+            if span.category == "stage" and span.duration_s is not None
+            else outermost(span.children)
+            for span in spans
+        )
+
+    totals: Dict[str, float] = {}
+    for root in tracer.roots:
+        for span in root.walk():
+            if span.category == category and span.duration_s is not None:
+                totals[span.name] = (
+                    totals.get(span.name, 0.0) + outermost(span.children)
+                )
+    return totals
+
+
 #: Shared no-op tracer — the library-wide default.
 NULL_TRACER = NullTracer()

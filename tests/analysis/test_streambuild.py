@@ -348,8 +348,9 @@ class TestDeferredContext:
     def test_shares_an_artifact_store_across_modes(
         self, monkeypatch, tmp_path, batch_context_view
     ):
-        # Both modes build one dataset product, so a store either one
-        # fills serves the other warm: nothing missed, nothing changed.
+        # Both modes measure the same WAN matrices, so a store either
+        # one fills serves the other warm: nothing missed, nothing
+        # changed.
         if not hasattr(os, "fork"):
             pytest.skip("chunk workers need os.fork")
         monkeypatch.setattr(shards, "CHUNK_SIZE", 80)
@@ -360,7 +361,32 @@ class TestDeferredContext:
             store = ArtifactStore(root)
             warm = _context(not cold_deferred, 0, store)
             assert _context_view(warm) == batch_context_view
-            assert store.stats.misses == 0 and store.stats.hits == 3
+            assert store.stats.misses == 0 and store.stats.hits == 1
+
+    def test_wan_hit_before_the_world_replays_after_its_dataset(
+        self, monkeypatch, tmp_path
+    ):
+        # A cold campaign gets a deferred world only once its dataset
+        # build is done, so a hit served before the world exists must
+        # replay the campaign's side effects after that build too.
+        if not hasattr(os, "fork"):
+            pytest.skip("chunk workers need os.fork")
+        monkeypatch.setattr(shards, "CHUNK_SIZE", 80)
+
+        def wan_first_view(store):
+            context = _context(True, 0, store)
+            context.wan._measure()
+            world = context.world
+            return (
+                world.latency._jitter_rng.getstate(),
+                len(world.ec2.all_instances()),
+                _context_view(context),
+            )
+
+        cold = wan_first_view(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
+        assert wan_first_view(store) == cold
+        assert store.stats.hits == 1
 
     def test_refuses_an_epoch(self):
         config = WorldConfig(seed=SEED, num_domains=150)

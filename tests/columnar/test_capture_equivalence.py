@@ -5,10 +5,9 @@ record for record (including order), the "capture" stream must end in
 the same state, and the budget machinery (the shuffled Zipf tail) must
 hand out identical per-domain byte budgets.  Also covers the
 WordLedger replay of the generator's draw program, the analyzer
-aggregates, and the columnar trace's pickle round-trip.
+aggregates, and a mutated columnar trace.
 """
 
-import pickle
 import random
 
 import pytest
@@ -104,17 +103,6 @@ def test_analyzer_aggregates_identical():
     assert dt_s == dt_c
 
 
-def test_columnar_trace_pickle_roundtrip():
-    _, trace, _ = _trace(7, True)
-    clone = pickle.loads(pickle.dumps(trace))
-    assert isinstance(clone, ColumnarTrace)
-    assert len(clone) == len(trace)
-    assert clone.total_bytes() == trace.total_bytes()
-    assert list(clone) == list(trace)
-    # Stable payload: same capture pickles to the same bytes.
-    assert pickle.dumps(clone) == pickle.dumps(trace)
-
-
 def test_columnar_trace_mutation_falls_back():
     _, trace, _ = _trace(7, True)
     flows = list(trace)
@@ -123,8 +111,6 @@ def test_columnar_trace_mutation_falls_back():
     assert trace.total_bytes() == (
         sum(f.total_bytes for f in flows) + flows[0].total_bytes
     )
-    clone = pickle.loads(pickle.dumps(trace))
-    assert len(clone) == len(flows) + 1
 
 
 def test_ledger_replays_generator_draw_program():

@@ -93,38 +93,6 @@ def test_deferred_stage_builds_leave_no_cyclic_garbage(monkeypatch):
     assert not context.world.deployer.deployed
 
 
-def test_warm_capture_replay_is_a_paused_frozen_stage(
-    monkeypatch, tmp_path
-):
-    """A warm store serves the capture without a world; once the world
-    materializes, its capture replay is the pass's one ``capture``
-    stage: run with the collector paused, and its heap frozen."""
-    cold = make_context(store=ArtifactStore(tmp_path))
-    cold.dataset
-    cold.trace
-    seen = []
-    capture_trace = World.capture_trace
-
-    def observed_capture_trace(self):
-        seen.append(collector_state())
-        return capture_trace(self)
-
-    monkeypatch.setattr(World, "capture_trace", observed_capture_trace)
-    warm = make_context(store=ArtifactStore(tmp_path))
-    warm.dataset
-    warm.trace
-    assert not seen and warm._world is None
-    warm.world  # replays the dataset build, then the capture
-    stages = [
-        span.name for span in warm.obs.tracer.walk()
-        if span.category == "stage"
-    ]
-    assert stages.count("capture") == 1
-    [(enabled, frozen)] = seen
-    assert enabled is False
-    assert gc.get_freeze_count() > frozen
-
-
 def test_stages_run_paused_and_end_frozen(monkeypatch):
     seen = []
     build = DatasetBuilder.build

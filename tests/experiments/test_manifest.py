@@ -1,6 +1,7 @@
 """Tests for the run manifest: ids, shape, determinism, layout."""
 
 import json
+import time
 
 import pytest
 
@@ -90,9 +91,40 @@ class TestRunManifest:
         assert "elapsed_s" not in entry
         assert "counters" in payload["metrics"]
         assert "stages_s" in manifest.timings
-        assert manifest.timings["experiments_s"] == {
-            "table03": 0.1, "table15": 0.1
+        # Each experiment is charged its elapsed time less the stages
+        # built inside its span: table03, the first to ask, built the
+        # world and the dataset.
+        stages = manifest.timings["stages_s"]
+        experiments = manifest.timings["experiments_s"]
+        assert experiments["table15"] == 0.1
+        assert experiments["table03"] == pytest.approx(
+            0.1 - stages["world_s"] - stages["dataset_s"], abs=2e-3
+        )
+
+    def test_timings_count_each_stage_once(self):
+        # The first experiment builds the world, dataset and capture
+        # inside its span; stages_s counts those builds, so the
+        # experiments are charged only their self time.  Each of the
+        # rounded values may be 0.5 ms high.
+        started = time.perf_counter()
+        context = ExperimentContext(
+            WorldConfig(seed=7, num_domains=400), WanConfig(rounds=2)
+        )
+        runs = []
+        for spec in (get_experiment("table01"), get_experiment("table03")):
+            tick = time.perf_counter()
+            result = spec.run(context)
+            runs.append((spec, result, time.perf_counter() - tick))
+        timings = RunManifest.from_run(context, runs).timings
+        wall = time.perf_counter() - started
+        counted = [
+            *timings["experiments_s"].values(),
+            *timings["stages_s"].values(),
+        ]
+        assert set(timings["stages_s"]) == {
+            "world_s", "dataset_s", "capture_s",
         }
+        assert sum(counted) <= wall + 0.0005 * len(counted)
 
     def test_json_serialisable(self, manifest_run):
         _, _, manifest = manifest_run

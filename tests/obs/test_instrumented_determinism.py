@@ -105,11 +105,7 @@ class TestOutputsUnchanged:
             context = ExperimentContext(
                 CONFIG, WanConfig(rounds=2), obs=obs
             )
-            return (
-                context._dataset_key(),
-                context._capture_key(),
-                context._wan_key(),
-            )
+            return context._wan_key()
 
         assert keys(Observability.collecting(events=True)) == keys(
             Observability(
