@@ -1,23 +1,26 @@
 """Timeline rendering: the ``repro report`` text view and the
 service's stdlib-only ``/dashboard`` HTML.
 
-Both views read straight from the run catalog's telemetry entries
-(:class:`~repro.service.repository.RunRepository`) and show the same
-facts: one section per trajectory (config series) with per-stage
+Both views render one read of the run catalog's telemetry entries
+(:meth:`~repro.service.repository.RunRepository.trajectories`, two SQL
+statements however many trajectories the catalog holds) and show the
+same facts: one section per trajectory (config series) with per-stage
 timing sparklines, the peak-RSS trajectory, the fidelity verdict
-history, and — for longitudinal runs — an epoch trend table.  The HTML is a ``<pre>``-heavy single page with
-no scripts, no external assets, and every dynamic string escaped; it
-exists so a browser pointed at a long-running ``repro serve`` can see
-the service's performance history without tooling.
+history, and — for longitudinal runs — an epoch trend table.  The HTML
+is a ``<pre>``-heavy single page with no scripts, no external assets,
+and every dynamic string escaped; it exists so a browser pointed at a
+long-running ``repro serve`` can see the service's performance history
+without tooling.
 """
 
 from __future__ import annotations
 
 import html
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.obs.sentinel import SentinelReport
-from repro.obs.timeline import TimelineEntry
+from repro.obs.sentinel import SentinelReport, worst_status
+from repro.obs.timeline import TimelineEntry, ordered_entries
 from repro.report.ascii_plot import sparkline
 
 if TYPE_CHECKING:
@@ -104,12 +107,13 @@ def render_series(trajectory: List[TimelineEntry]) -> str:
 
 
 def epoch_trend_rows(
-    store: RunRepository,
+    trajectories: Dict[str, List[TimelineEntry]],
 ) -> List[Dict[str, object]]:
-    """Longitudinal runs folded into (plan, epoch) trend rows."""
+    """Longitudinal runs of one timeline read folded into (plan,
+    epoch) trend rows."""
     rows: List[Dict[str, object]] = []
-    for entry in store.entries(source="run"):
-        if entry.epoch_plan is None:
+    for entry in ordered_entries(trajectories):
+        if entry.source != "run" or entry.epoch_plan is None:
             continue
         rows.append({
             "plan": entry.epoch_plan,
@@ -122,25 +126,29 @@ def epoch_trend_rows(
     return rows
 
 
-def render_report(
-    store: RunRepository,
+def render_timeline(
+    trajectories: Dict[str, List[TimelineEntry]],
     reports: Optional[List[SentinelReport]] = None,
 ) -> str:
-    """The full ``repro report`` text: per-trajectory sections, the
-    epoch trend table, and (when given) the sentinel's verdicts."""
-    counts = store.counts()
+    """The full ``repro report`` text of one
+    :meth:`~repro.service.repository.RunRepository.trajectories` read:
+    per-trajectory sections, the epoch trend table, and (when given)
+    the sentinel's verdicts.  It runs no query of its own."""
+    sources = Counter(
+        entry.source for trajectory in trajectories.values()
+        for entry in trajectory
+    )
     lines = [
         "telemetry timeline — "
-        f"{counts['entries']} entries "
-        f"({counts['run_entries']} runs, "
-        f"{counts['bench_entries']} bench) across "
-        f"{counts['series_keys']} trajectories",
+        f"{sum(sources.values())} entries "
+        f"({sources['run']} runs, {sources['bench']} bench) across "
+        f"{len(trajectories)} trajectories",
         "",
     ]
-    for series_key in store.series_keys():
-        lines.append(render_series(store.trajectory(series_key)))
+    for trajectory in trajectories.values():
+        lines.append(render_series(trajectory))
         lines.append("")
-    epochs = epoch_trend_rows(store)
+    epochs = epoch_trend_rows(trajectories)
     if epochs:
         from repro.report.table import TextTable
 
@@ -171,13 +179,23 @@ def render_report(
     return "\n".join(lines).rstrip() + "\n"
 
 
-def render_html(
+def render_report(
     store: RunRepository,
+    reports: Optional[List[SentinelReport]] = None,
+) -> str:
+    """:func:`render_timeline` over one read of the store's timeline
+    (two SQL statements, however many trajectories it holds)."""
+    return render_timeline(store.trajectories(), reports)
+
+
+def render_html(
+    trajectories: Dict[str, List[TimelineEntry]],
     reports: Optional[List[SentinelReport]] = None,
     health: Optional[dict] = None,
 ) -> str:
-    """The ``/dashboard`` page: the text report inside a minimal,
-    script-free HTML shell (everything dynamic escaped)."""
+    """The ``/dashboard`` page: the text report of one timeline read
+    inside a minimal, script-free HTML shell (everything dynamic
+    escaped)."""
     body_sections = []
     if health:
         items = "".join(
@@ -186,13 +204,7 @@ def render_html(
             for k, v in sorted(health.items())
         )
         body_sections.append(f"<ul>{items}</ul>")
-    status = (
-        max(
-            (r.status for r in reports),
-            key=("match", "drift", "divergent").index,
-        )
-        if reports else "match"
-    )
+    status = worst_status(reports or [])
     badge_class = {"match": "ok", "drift": "warn",
                    "divergent": "bad"}[status]
     body_sections.append(
@@ -200,7 +212,8 @@ def render_html(
         f"{html.escape(status)}</span></p>"
     )
     body_sections.append(
-        "<pre>" + html.escape(render_report(store, reports)) + "</pre>"
+        "<pre>" + html.escape(render_timeline(trajectories, reports))
+        + "</pre>"
     )
     return (
         "<!DOCTYPE html>\n"

@@ -293,6 +293,14 @@ def _fidelity_rank(status: str) -> int:
         return 0
 
 
+def _judge_newest(
+    trajectory: List[TimelineEntry], bands: Optional[dict]
+) -> Optional[SentinelReport]:
+    if len(trajectory) < 2:
+        return None
+    return judge_entries(trajectory[-2], trajectory[-1], bands=bands)
+
+
 def check_series(
     store: RunRepository,
     series_key: str,
@@ -300,22 +308,31 @@ def check_series(
 ) -> Optional[SentinelReport]:
     """Judge one trajectory's newest entry against its predecessor;
     ``None`` when the trajectory has fewer than two points."""
-    trajectory = store.trajectory(series_key)
-    if len(trajectory) < 2:
-        return None
-    return judge_entries(trajectory[-2], trajectory[-1], bands=bands)
+    return _judge_newest(store.trajectory(series_key), bands)
+
+
+def check_trajectories(
+    trajectories: Dict[str, List[TimelineEntry]],
+    bands: Optional[dict] = None,
+) -> List[SentinelReport]:
+    """One report per trajectory with at least two points, in the
+    read's order, judged from one
+    :meth:`~repro.service.repository.RunRepository.trajectories` read
+    that the caller can also render."""
+    reports = (
+        _judge_newest(trajectory, bands)
+        for trajectory in trajectories.values()
+    )
+    return [report for report in reports if report is not None]
 
 
 def check_store(
     store: RunRepository, bands: Optional[dict] = None
 ) -> List[SentinelReport]:
-    """One report per trajectory with at least two points."""
-    reports = []
-    for series_key in store.series_keys():
-        report = check_series(store, series_key, bands=bands)
-        if report is not None:
-            reports.append(report)
-    return reports
+    """One report per trajectory with at least two points, from one
+    read of the store's timeline (two SQL statements, however many
+    trajectories it holds)."""
+    return check_trajectories(store.trajectories(), bands)
 
 
 def worst_status(reports: List[SentinelReport]) -> str:

@@ -120,6 +120,19 @@ class TimelineEntry:
         return " ".join(parts)
 
 
+def ordered_entries(
+    trajectories: Dict[str, List[TimelineEntry]],
+) -> List[TimelineEntry]:
+    """Every entry of a ``RunRepository.trajectories()`` read, in the
+    order ``RunRepository.entries()`` returns them: ``recorded_at``,
+    then ``position``, then ``entry_id``."""
+    return sorted(
+        (entry for trajectory in trajectories.values()
+         for entry in trajectory),
+        key=lambda e: (e.recorded_at, e.position, e.entry_id),
+    )
+
+
 def _series_key(axes: Dict[str, object]) -> str:
     return _canonical_digest(axes)
 

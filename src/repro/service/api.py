@@ -420,17 +420,19 @@ class ServiceAPI:
         }
 
     def _dashboard(self, query):
-        from repro.obs.dashboard import render_html, render_report
-        from repro.obs.sentinel import check_store
+        """The sentinel and the page work from one timeline read."""
+        from repro.obs.dashboard import render_html, render_timeline
+        from repro.obs.sentinel import check_trajectories
 
-        reports = check_store(self.repository)
+        trajectories = self.repository.trajectories()
+        reports = check_trajectories(trajectories)
         if query.get("format") == "text":
-            return 200, "text/plain", render_report(
-                self.repository, reports
+            return 200, "text/plain", render_timeline(
+                trajectories, reports
             )
         _, _, health = self._health()
         return 200, "text/html", render_html(
-            self.repository, reports, health=health
+            trajectories, reports, health=health
         )
 
     def _jobs(self, rest, query):

@@ -464,13 +464,14 @@ def _runs(args) -> int:
 
 
 def _report(args) -> int:
-    from repro.obs.dashboard import render_report
+    from repro.obs.dashboard import render_timeline
     from repro.obs.sentinel import (
         EXIT_REGRESSION,
-        check_store,
+        check_trajectories,
         worst_status,
         write_regressions,
     )
+    from repro.obs.timeline import ordered_entries
     from repro.service.repository import RunRepository
 
     with RunRepository(args.root, bench_paths=args.bench) as store:
@@ -492,12 +493,15 @@ def _report(args) -> int:
                 f"skipped bench file {entry['path']}: {entry['reason']}",
                 file=sys.stderr,
             )
-        reports = check_store(store) if args.check else None
+        # One timeline read serves the verdicts and the view alike.
+        trajectories = store.trajectories()
+        reports = check_trajectories(trajectories) if args.check else None
         if args.json:
             payload = {
                 "counts": store.counts(),
                 "entries": [
-                    entry.as_dict() for entry in store.entries()
+                    entry.as_dict()
+                    for entry in ordered_entries(trajectories)
                 ],
                 "skipped_benches": scan.skipped_benches,
             }
@@ -508,7 +512,7 @@ def _report(args) -> int:
                 }
             print(json.dumps(payload, indent=2))
         else:
-            print(render_report(store, reports), end="")
+            print(render_timeline(trajectories, reports), end="")
         if reports is not None:
             if args.regressions_out:
                 write_regressions(args.regressions_out, reports)

@@ -10,7 +10,7 @@ and the dashboard ask: list runs by scenario / seed / fidelity status /
 experiment membership / epoch plan, fetch one run's manifest, fidelity
 report, or timings, link a series to its epoch runs, and walk the
 telemetry timeline (:mod:`repro.obs.timeline`) one trajectory at a
-time.
+time or every trajectory in one read.
 
 The index is a **pure cache**: the files on disk are the source of
 truth, ``scan()`` rebuilds the whole index from them in one pass, and
@@ -766,6 +766,28 @@ class RunRepository:
     def trajectory(self, series_key: str) -> List[TimelineEntry]:
         """One config's entries, oldest first."""
         return self.entries(series_key=series_key)
+
+    def trajectories(self) -> Dict[str, List[TimelineEntry]]:
+        """Every trajectory, keyed in :meth:`series_keys` order, each
+        oldest first: ``{key: self.trajectory(key) for key in
+        self.series_keys()}`` read with one ``series_keys`` query and
+        one :meth:`entries` query, whatever the number of trajectories.
+
+        The watchtower views (the sentinel's ``check_store``,
+        ``repro report`` and ``/dashboard``) each work from one such
+        read.  Both queries run under the handle's lock, so a scan
+        through this handle cannot land between them; an entry another
+        handle added in between is kept, after the listed keys.
+        """
+        with self._lock:
+            keys = self.series_keys()
+            entries = self.entries()
+        trajectories: Dict[str, List[TimelineEntry]] = {
+            key: [] for key in keys
+        }
+        for entry in entries:
+            trajectories.setdefault(entry.series_key, []).append(entry)
+        return trajectories
 
     def counts(self) -> Dict[str, int]:
         """Catalog cardinalities for ``/health``, ``/metrics`` and
