@@ -211,66 +211,50 @@ class LatencyModel:
             self._wide_base_cache[pair] = persistent
         return persistent * self._episode_factor(key_a, key_b, time_s)
 
-    def probe_rtt_ms(self, a, b, time_s: float = 0.0) -> float:
-        """One probe's RTT: base plus additive and multiplicative jitter.
+    def _intra_jitter_ms(self, desc_a, desc_b) -> Optional[float]:
+        """The jitter sigma of an intra-region pair, or None for a pair
+        that crosses the wide area.
 
         Intra-region probes see jitter scaled by the *instance types*
         involved — small shared instances are noisier neighbours, which
         is visible in Table 11.
         """
-        desc_a = self._describe(a)
-        desc_b = self._describe(b)
         inst_a = desc_a[2]
         inst_b = desc_b[2]
-        base = self._base_rtt_from(desc_a, desc_b, time_s)
-        intra = (
-            inst_a is not None
-            and inst_b is not None
-            and inst_a.provider_name == inst_b.provider_name
-            and inst_a.region_name == inst_b.region_name
-        )
-        if intra:
-            jitter_scale = (
-                _type_jitter(inst_a.itype) + _type_jitter(inst_b.itype)
-            )
-            jitter = abs(self._jitter_rng.gauss(0.0, jitter_scale))
-            return base + jitter
-        jitter = abs(self._jitter_rng.gauss(0.0, 0.04 * base)) + abs(
-            self._jitter_rng.gauss(0.0, 0.4)
-        )
-        return base + jitter
-
-    def probe_rtts_ms(
-        self, a, b, count: int, time_s: float = 0.0
-    ) -> list:
-        """RTTs of ``count`` back-to-back probes of one endpoint pair.
-
-        Equivalent to ``count`` consecutive :meth:`probe_rtt_ms` calls —
-        the jitter stream is consumed in the identical order, so the
-        values are bit-for-bit the same — but the endpoint descriptions
-        and base RTT are computed once instead of per probe.
-        """
-        desc_a = self._describe(a)
-        desc_b = self._describe(b)
-        inst_a = desc_a[2]
-        inst_b = desc_b[2]
-        base = self._base_rtt_from(desc_a, desc_b, time_s)
-        gauss = self._jitter_rng.gauss
         if (
             inst_a is not None
             and inst_b is not None
             and inst_a.provider_name == inst_b.provider_name
             and inst_a.region_name == inst_b.region_name
         ):
-            jitter_scale = (
-                _type_jitter(inst_a.itype) + _type_jitter(inst_b.itype)
-            )
-            return [
-                base + abs(gauss(0.0, jitter_scale)) for _ in range(count)
-            ]
+            return _type_jitter(inst_a.itype) + _type_jitter(inst_b.itype)
+        return None
+
+    def probe_rtt_ms(self, a, b, time_s: float = 0.0) -> float:
+        """One probe's RTT: base plus additive and multiplicative jitter."""
+        return self.probe_rtts_ms(a, b, 1, time_s)[0]
+
+    def probe_rtts_ms(
+        self, a, b, count: int, time_s: float = 0.0
+    ) -> list:
+        """RTTs of ``count`` back-to-back probes of one endpoint pair.
+
+        Each probe is its base RTT plus jitter from the shared
+        ``latency/jitter`` stream: one draw within a region, two (a
+        multiplicative and an additive term) across the wide area.  The
+        endpoint descriptions and the base RTT are computed once per
+        burst.
+        """
+        desc_a = self._describe(a)
+        desc_b = self._describe(b)
+        base = self._base_rtt_from(desc_a, desc_b, time_s)
+        sigma = self._intra_jitter_ms(desc_a, desc_b)
+        gauss = self._jitter_rng.gauss
+        if sigma is not None:
+            return [base + abs(gauss(0.0, sigma)) for _ in range(count)]
         mult_sigma = 0.04 * base
-        # Parenthesised like probe_rtt_ms (base + (g1 + g2)): float
-        # addition is not associative, so grouping is part of the output.
+        # Parenthesised as base + (g1 + g2): float addition is not
+        # associative, so the grouping is part of the output.
         return [
             base + (abs(gauss(0.0, mult_sigma)) + abs(gauss(0.0, 0.4)))
             for _ in range(count)

@@ -82,6 +82,12 @@ class RoutingModel:
         self._next_asn = 7000
         self._next_prefix24 = 0
         self._cloud_routers: Dict[Tuple[str, str], List[IPv4Address]] = {}
+        #: (provider, region, vantage, picks) -> persistent ISP
+        #: preference order, and (provider, region, zone, ASN) -> zone
+        #: visibility: each derived once, as a sweep re-asks per
+        #: instance and per traceroute.
+        self._route_cache: Dict[Tuple, Tuple[int, ...]] = {}
+        self._visibility_cache: Dict[Tuple, bool] = {}
         self._build_transit_core()
         for provider in providers.values():
             for region_name in provider.region_names():
@@ -143,15 +149,35 @@ class RoutingModel:
         self, provider_name: str, region_name: str, zone_index: int,
         isp: _DownstreamISP,
     ) -> bool:
-        rng = derive_rng(
-            self.streams.seed,
-            "zone-visibility",
-            provider_name,
-            region_name,
-            zone_index,
-            isp.asys.number,
-        )
-        return rng.random() >= ZONE_INVISIBILITY
+        key = (provider_name, region_name, zone_index, isp.asys.number)
+        visible = self._visibility_cache.get(key)
+        if visible is None:
+            rng = derive_rng(self.streams.seed, "zone-visibility", *key)
+            visible = rng.random() >= ZONE_INVISIBILITY
+            self._visibility_cache[key] = visible
+        return visible
+
+    def _route_order(
+        self, key: Tuple[str, str], vantage: VantagePoint, picks: int
+    ) -> Tuple[int, ...]:
+        """The first ``picks`` Zipf-weighted ISP indices of the
+        persistent (region, vantage) preference order."""
+        cache_key = key + (vantage.name, picks)
+        order = self._route_cache.get(cache_key)
+        if order is None:
+            count = len(self._downstream[key])
+            weights = [
+                1.0 / (rank + 1) ** ROUTE_SPREAD_EXPONENT
+                for rank in range(count)
+            ]
+            rng = derive_rng(
+                self.streams.seed, "route", *key, vantage.name
+            )
+            order = tuple(
+                rng.choices(range(count), weights=weights, k=picks)
+            )
+            self._route_cache[cache_key] = order
+        return order
 
     def _pick_downstream(
         self,
@@ -169,16 +195,7 @@ class RoutingModel:
         """
         key = (instance.provider_name, instance.region_name)
         isps = self._downstream[key]
-        weights = [
-            1.0 / (rank + 1) ** ROUTE_SPREAD_EXPONENT
-            for rank in range(len(isps))
-        ]
-        rng = derive_rng(
-            self.streams.seed, "route", *key, vantage.name
-        )
-        order = rng.choices(
-            range(len(isps)), weights=weights, k=8 + 2 * len(failed_isps)
-        )
+        order = self._route_order(key, vantage, 8 + 2 * len(failed_isps))
         fallback: Optional[_DownstreamISP] = None
         for choice in order:
             isp = isps[choice]

@@ -97,6 +97,17 @@ class Prober:
             self._responds_cache[target.instance_id] = responds
         return responds
 
+    def responder(self, target, region_hint: Optional[str] = None):
+        """The endpoint behind ``target`` if it answers probes, else None.
+
+        ``region_hint`` lets in-region probes address targets by
+        internal IP (the probe instance's region scopes the lookup).
+        """
+        resolved = self._resolve_target(target, region_hint)
+        if resolved is None or not self._target_responds(resolved):
+            return None
+        return resolved
+
     def tcp_ping(
         self,
         source,
@@ -105,14 +116,11 @@ class Prober:
         time_s: float = 0.0,
         region_hint: Optional[str] = None,
     ) -> PingResult:
-        """``count`` TCP probes from ``source`` to ``target``.
-
-        ``region_hint`` lets in-region probes address targets by
-        internal IP (the probe instance's region scopes the lookup).
-        """
-        resolved = self._resolve_target(target, region_hint)
+        """``count`` TCP probes from ``source`` to ``target``; a silent
+        or unresolvable target times out on every probe."""
+        resolved = self.responder(target, region_hint)
         result = PingResult()
-        if resolved is None or not self._target_responds(resolved):
+        if resolved is None:
             result.rtts_ms = [None] * count
             return result
         result.rtts_ms = list(

@@ -5,6 +5,10 @@ substream derived from one master seed, so that (a) the whole world is a
 pure function of ``WorldConfig.seed`` and (b) adding a new component never
 perturbs the draws of existing ones (the classic shared-``Random``
 fragility).
+
+The module keeps no per-key state: a component that asks for one
+derived key more than once memoizes the value it draws from it, where
+it uses it.
 """
 
 from __future__ import annotations
@@ -14,30 +18,22 @@ import hashlib
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator
-
-
-@lru_cache(maxsize=262144)
-def _seed_from_path(path_repr: str) -> int:
-    """The 128-bit seed value for one repr-encoded label path.
-
-    Keyed on the repr string (not the label tuple) so values that
-    compare equal but repr differently — ``1`` vs ``1.0`` — keep their
-    distinct digests.
-    """
-    digest = hashlib.sha256(path_repr.encode("utf-8")).digest()
-    return int.from_bytes(digest[:16], "big")
 
 
 def derive_seed(seed: int, *labels: object) -> int:
     """The integer seed :func:`derive_rng` would construct its RNG from.
 
-    Digests are cached per label path, so hot loops that re-derive the
-    same substream (per-entity coin flips, per-(path, hour) episodes)
-    skip the SHA-256 work after the first call.
+    The SHA-256 digest of the label path's ``repr``, so values that
+    compare equal but repr differently — ``1`` vs ``1.0`` — keep their
+    distinct seeds.  The digest is computed on every call; the callers
+    that re-derive a key (the latency model's path factors, the
+    prober's response flips, the routing model's route orders and zone
+    visibility) memoize the draw they take from it.
     """
-    return _seed_from_path(repr((seed,) + labels))
+    path = repr((seed,) + labels)
+    digest = hashlib.sha256(path.encode("utf-8")).digest()
+    return int.from_bytes(digest[:16], "big")
 
 
 #: Optional observability hook: called (no args) once per

@@ -1,11 +1,12 @@
 """Determinism under caching.
 
-The hot-path caches (memoized ``zone_for``, the RNG-derivation digest
-cache, the persistent wide-area base-RTT product, episode factors, the
-probe-response coin cache) must be *transparent*: a world whose caches
-were warmed by harmless reads has to produce byte-for-byte the same
-measurements as a fresh one, and the opt-in parallel WAN campaign has to
-match the sequential campaign exactly.
+The hot-path caches (memoized ``zone_for``, the persistent wide-area
+base-RTT product, episode factors, the probe-response coin cache, the
+routing model's route orders and zone visibility) must be
+*transparent*: a world whose caches were warmed by harmless reads has
+to produce byte-for-byte the same measurements as a fresh one, and the
+opt-in parallel WAN campaign has to match the sequential campaign
+exactly.
 
 Only side-effect-free operations may be used for warming.  ``dig`` on a
 dynamic name is NOT one of them — it advances the server-side ELB
@@ -19,7 +20,12 @@ from repro.analysis.dataset import DatasetBuilder
 from repro.analysis.wan import WanAnalysis, WanConfig
 from repro.dns.records import normalize_name
 from repro.sampling import WeightedChooser
-from repro.sim import advance_gauss, derive_rng, derive_seed
+from repro.sim import (
+    advance_gauss,
+    derive_rng,
+    derive_seed,
+    set_rng_observer,
+)
 from repro.world import World, WorldConfig
 
 TINY = WorldConfig(seed=21, num_domains=200)
@@ -40,6 +46,15 @@ def _warm_caches(world: World) -> None:
             # the shared jitter/noise streams never move.
             world.latency.base_rtt_ms(client, instance, time_s=0.0)
             world.latency.base_rtt_ms(client, instance, time_s=7200.0)
+    # Traceroutes draw only hash-derived route and visibility values.
+    failed = frozenset(
+        asys.number
+        for asys in world.routing.downstream_isps("ec2", "us-east-1")[:2]
+    )
+    for vantage in world.traceroute_vantages()[:5]:
+        for instance in instances:
+            world.routing.traceroute(instance, vantage)
+            world.routing.traceroute(instance, vantage, failed_isps=failed)
 
 
 def _record_key(record):
@@ -82,6 +97,16 @@ class TestCacheTransparency:
         assert fresh_wan._latency == warmed_wan._latency
         assert fresh_wan._throughput == warmed_wan._throughput
 
+    def test_warmed_world_matches_fresh_isp_diversity(self):
+        config = WanConfig(rounds=1)
+        fresh = World(TINY)
+        warmed = World(TINY)
+        _warm_caches(warmed)
+        assert (
+            WanAnalysis(warmed, config).isp_diversity()
+            == WanAnalysis(fresh, config).isp_diversity()
+        )
+
     def test_zone_cache_invalidated_by_add_zone(self, tiny_world):
         from repro.dns.zone import Zone
 
@@ -100,10 +125,33 @@ class TestDerivedRngCaching:
         assert first == second
 
     def test_digest_cache_distinguishes_equal_but_distinct_labels(self):
-        # 1 == 1.0 in Python; a cache keyed on label *equality* would
-        # collapse these two streams.  The digest cache keys on repr.
+        # 1 == 1.0 in Python; a seed keyed on label *equality* would
+        # collapse these two streams.  derive_seed hashes their repr.
         assert derive_seed(7, 1) != derive_seed(7, 1.0)
         assert derive_seed(7, "1") != derive_seed(7, 1)
+
+    def test_sweep_derives_each_route_and_visibility_key_once(self):
+        world = World(TINY)
+        analysis = WanAnalysis(world, WanConfig(rounds=1))
+        routing = world.routing
+        launched_before = len(world.ec2.all_instances())
+        derivations = []
+        previous = set_rng_observer(lambda: derivations.append(1))
+        try:
+            analysis.isp_diversity()
+        finally:
+            set_rng_observer(previous)
+        # One "trace" stream per (instance, vantage) traceroute; every
+        # other derivation is a route or visibility key's first use.
+        traces = (
+            len(world.ec2.all_instances()) - launched_before
+        ) * len(world.traceroute_vantages())
+        assert routing._route_cache and routing._visibility_cache
+        assert len(derivations) == (
+            traces
+            + len(routing._route_cache)
+            + len(routing._visibility_cache)
+        )
 
     def test_advance_gauss_fast_forwards_exactly(self):
         walked = random.Random(99)
