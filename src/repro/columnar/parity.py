@@ -7,14 +7,19 @@ guaranteed to be — SIMD kernels for ``log``/``exp`` differ by an ulp on
 some builds — and one flipped bit anywhere breaks the repository's
 digest contract.
 
-So each function is probed once per process: a deterministic sample
-(fixed-seed Mersenne words, mapped into the domain the pipeline
-actually uses) is evaluated through both the ufunc and ``math``, and
-the vectorized entry point commits to the ufunc only on exact bitwise
-agreement.  Otherwise it falls back to ``map(math.f, ...)`` — still
-far cheaper than the scalar draw loops it replaces, and bit-identical
-by construction.  :func:`parity_report` exposes the verdicts (the docs
-and tests surface them; they are *not* part of any digest).
+So each function is probed once per process, on its first use: a
+deterministic sample (fixed-seed Mersenne words, mapped into the
+domain the pipeline actually uses) is evaluated through both the ufunc
+and ``math``, and the vectorized entry point commits to the ufunc only
+on exact bitwise agreement.  Otherwise it falls back to
+``map(math.f, ...)`` — still far cheaper than the scalar draw loops it
+replaces, and bit-identical by construction.  :func:`parity_report`
+exposes the verdicts (the docs and tests surface them; they are *not*
+part of any digest).
+
+Both the probe and the fallback run ``math`` over :data:`_CHUNK`
+elements at a time, so the Python floats they make never outnumber
+one chunk, whatever the array's size.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ import numpy as np
 
 _PROBE_SEED = 0xC01A57A7
 _PROBE_SIZE = 1 << 16
+#: Elements per ``math`` pass: one slice's Python floats are all a
+#: probe or a fallback holds at once.
+_CHUNK = 4096
 
 _verdicts: Dict[str, bool] = {}
 
@@ -35,14 +43,30 @@ def _probe_samples() -> np.ndarray:
     return rs.random_sample(_PROBE_SIZE)
 
 
+def _math_map(math_fn, flat: np.ndarray) -> np.ndarray:
+    """``math_fn`` over a 1-D array, one :data:`_CHUNK` slice at a
+    time: the same floats, in the same order, as one ``map`` over
+    ``flat.tolist()``."""
+    out = np.empty(flat.size, dtype=np.float64)
+    for lo in range(0, flat.size, _CHUNK):
+        part = flat[lo:lo + _CHUNK].tolist()
+        out[lo:lo + len(part)] = np.fromiter(
+            map(math_fn, part), dtype=np.float64, count=len(part)
+        )
+    return out
+
+
 def _bit_equal(np_fn, math_fn, operands: np.ndarray) -> bool:
+    # The ufunc sees the whole sample, as the pipeline's calls do; the
+    # ``math`` reference is made and compared one slice at a time.
     vec = np_fn(operands)
-    ref = np.fromiter(
-        map(math_fn, operands.tolist()),
-        dtype=np.float64,
-        count=len(operands),
+    return all(
+        np.array_equal(
+            vec[lo:lo + _CHUNK],
+            _math_map(math_fn, operands[lo:lo + _CHUNK]),
+        )
+        for lo in range(0, operands.size, _CHUNK)
     )
-    return bool(np.array_equal(vec, ref))
 
 
 def _probe(name: str) -> bool:
@@ -101,12 +125,7 @@ def _dispatch(
     def vec(arr: np.ndarray) -> np.ndarray:
         if has_parity(name):
             return np_fn(arr)
-        flat = np.fromiter(
-            map(math_fn, arr.ravel().tolist()),
-            dtype=np.float64,
-            count=arr.size,
-        )
-        return flat.reshape(arr.shape)
+        return _math_map(math_fn, arr.ravel()).reshape(arr.shape)
 
     vec.__name__ = f"vec_{name}"
     return vec

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.net.ipv4 import IPv4Address
 
@@ -24,21 +23,37 @@ class RRType(enum.Enum):
     AXFR = "AXFR"
 
 
-@lru_cache(maxsize=131072)
+#: Memo for :func:`normalize_name`, mapping each input seen to its
+#: normal form.  Capped like ``DnsInfrastructure._ZONE_CACHE_MAX``: on
+#: overflow the whole dict is cleared, and the working set refills it.
+_NORMALIZED: Dict[str, str] = {}
+_NORMALIZED_MAX = 131072
+
+
 def normalize_name(name: str) -> str:
     """Lowercase and strip any trailing dot from a domain name.
 
-    Cached: names are normalized once at :class:`ResourceRecord`
-    construction but re-enter this function on every ``zone_for``/
-    ``lookup`` hop, so the same few thousand strings account for
-    millions of calls per pipeline run.
+    Memoized in a plain module dict: names are normalized once at
+    :class:`ResourceRecord` construction but re-enter this function on
+    every ``zone_for``/``lookup`` hop, so a few tens of thousands of
+    strings account for hundreds of thousands of calls per run.  An
+    input that is already normal is stored and returned as itself, so
+    such an entry costs one string, not two.
     """
-    name = name.strip().lower()
-    if name.endswith("."):
-        name = name[:-1]
-    if not name:
+    normal = _NORMALIZED.get(name)
+    if normal is not None:
+        return normal
+    normal = name.strip().lower()
+    if normal.endswith("."):
+        normal = normal[:-1]
+    if not normal:
         raise ValueError("empty domain name")
-    return name
+    if normal == name:
+        normal = name
+    if len(_NORMALIZED) >= _NORMALIZED_MAX:
+        _NORMALIZED.clear()
+    _NORMALIZED[name] = normal
+    return normal
 
 
 def parent_of(name: str) -> Optional[str]:
@@ -90,7 +105,9 @@ class DnsResponse:
     ``chain`` is the followed CNAME chain in order (empty when the name
     resolves directly to addresses); ``addresses`` the terminal A-record
     values; ``ns_names`` populated for NS queries.  ``exists`` is False
-    for NXDOMAIN.
+    for NXDOMAIN.  A resolver hands out lists the caller owns; the
+    static-resolution index's shared memo entries hold tuples instead
+    (:meth:`~repro.dns.staticindex.StaticResolutionIndex.peek`).
     """
 
     qname: str

@@ -108,10 +108,13 @@ class StaticResolutionIndex:
         """The *shared* memoized response for a static name, else None.
 
         ``qname`` must already be normalized.  The returned object is
-        the memo itself — the caller must treat it as frozen (read
-        addresses/chain, never mutate).  A memo hit is its own
-        staticness proof (the memo is cleared whenever the topology
-        version moves), so the closure check only runs on misses.
+        the memo itself, frozen: its ``chain``, ``addresses`` and
+        ``ns_names`` are tuples (an empty one is the shared ``()``), so
+        a caller can read or copy them but not append to them.  Callers
+        that hand a response on copy it into lists first (``dig``,
+        :meth:`lookup`).  A memo hit is its own staticness proof (the
+        memo is cleared whenever the topology version moves), so the
+        closure check only runs on misses.
 
         Misses are filled through the *calling* resolver's uncached
         path — legitimate because static answers are identical from
@@ -130,6 +133,11 @@ class StaticResolutionIndex:
             return None
         self.misses += 1
         memo = resolver._resolve_uncached(qname, rtype)
+        # Freeze the fresh response the index now owns; ``tuple()`` of
+        # an empty list is the interpreter's shared ``()``.
+        memo.chain = tuple(memo.chain)
+        memo.addresses = tuple(memo.addresses)
+        memo.ns_names = tuple(memo.ns_names)
         if len(self._memo) >= self._MEMO_MAX:
             self._memo.clear()
         self._memo[key] = memo

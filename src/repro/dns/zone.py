@@ -42,13 +42,22 @@ class DynamicName:
 
 
 class Zone:
-    """All authoritative data under one origin name."""
+    """All authoritative data under one origin name.
+
+    Each static name holds one tuple of its records, grouped by type:
+    the types in the order they were first added, each type's records
+    in insertion order.  :meth:`transfer` lists records in that order,
+    and :meth:`lookup` answers a type with its records in insertion
+    order.  A tuple is the smallest container that keeps that order,
+    and a world holds tens of thousands of names, most with a single
+    record; :meth:`add` rebuilds the tuple of a name it extends.
+    """
 
     def __init__(self, origin: str, axfr_allowed: bool = False):
         self.origin = normalize_name(origin)
         self._suffix = "." + self.origin
         self.axfr_allowed = axfr_allowed
-        self._static: Dict[str, Dict[RRType, List[ResourceRecord]]] = {}
+        self._static: Dict[str, Tuple[ResourceRecord, ...]] = {}
         self._dynamic: Dict[str, DynamicName] = {}
         self._query_counts: Dict[str, int] = {}
         self._names_cache: Optional[List[str]] = None
@@ -72,15 +81,17 @@ class Zone:
         """Add a static record (name must be at or under the origin)."""
         # Records normalize their names when constructed.
         name = self._check_in_zone(record.name)
-        by_type = self._static.get(name)
-        if by_type is None:
-            self._static[name] = {record.rtype: [record]}
+        records = self._static.get(name)
+        if records is None:
+            self._static[name] = (record,)
         else:
-            records = by_type.get(record.rtype)
-            if records is None:
-                by_type[record.rtype] = [record]
-            else:
-                records.append(record)
+            # Insert after the last record of the same type, or append
+            # a new type's first record at the end.
+            end = len(records)
+            for i, other in enumerate(records):
+                if other.rtype is record.rtype:
+                    end = i + 1
+            self._static[name] = records[:end] + (record,) + records[end:]
         self._changed()
 
     def add_all(self, records: Iterable[ResourceRecord]) -> None:
@@ -105,11 +116,13 @@ class Zone:
             self._static.pop(name, None)
             self._dynamic.pop(name, None)
             return
-        by_type = self._static.get(name)
-        if by_type is not None:
-            by_type.pop(rtype, None)
-            if not by_type:
-                self._static.pop(name, None)
+        records = self._static.get(name)
+        if records is not None:
+            kept = tuple(r for r in records if r.rtype is not rtype)
+            if kept:
+                self._static[name] = kept
+            else:
+                del self._static[name]
 
     def names(self) -> List[str]:
         """Every name with data, static or dynamic, in sorted order."""
@@ -150,8 +163,9 @@ class Zone:
         :meth:`DnsInfrastructure.shared_dynamic_names`."""
         return [
             (name, str(record.value))
-            for name, by_type in self._static.items()
-            for record in by_type.get(RRType.CNAME, ())
+            for name, records in self._static.items()
+            for record in records
+            if record.rtype is RRType.CNAME
         ]
 
     def has_name(self, name: str) -> bool:
@@ -175,15 +189,14 @@ class Zone:
             index = self._query_counts.get(name, 0)
             self._query_counts[name] = index + 1
             return self._dynamic[name].answer(rtype, vantage, index)
-        by_type = self._static.get(name)
-        if not by_type:
+        records = self._static.get(name)
+        if records is None:
             return []
-        if rtype in by_type:
-            return list(by_type[rtype])
-        # Per RFC 1034 a CNAME answers queries for other types too.
-        if rtype is not RRType.CNAME and RRType.CNAME in by_type:
-            return list(by_type[RRType.CNAME])
-        return []
+        answer = [r for r in records if r.rtype is rtype]
+        if not answer and rtype is not RRType.CNAME:
+            # Per RFC 1034 a CNAME answers queries for other types too.
+            answer = [r for r in records if r.rtype is RRType.CNAME]
+        return answer
 
     def transfer(self) -> List[ResourceRecord]:
         """AXFR: the full static record list, if the zone permits it.
@@ -195,14 +208,16 @@ class Zone:
         if not self.axfr_allowed:
             raise TransferRefused(self.origin)
         records: List[ResourceRecord] = []
-        for by_type in self._static.values():
-            for record_list in by_type.values():
-                records.extend(record_list)
+        for name_records in self._static.values():
+            records.extend(name_records)
         for name, dynamic in self._dynamic.items():
             records.extend(dynamic.answer(RRType.A, None, 0))
         return records
 
     def nameserver_names(self) -> List[str]:
         """Hostnames from the zone's apex NS records."""
-        apex = self._static.get(self.origin, {})
-        return [str(r.value) for r in apex.get(RRType.NS, [])]
+        return [
+            str(r.value)
+            for r in self._static.get(self.origin, ())
+            if r.rtype is RRType.NS
+        ]

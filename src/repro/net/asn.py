@@ -10,7 +10,7 @@ hop address.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.net.ipv4 import IPv4Network
 from repro.net.prefixset import PrefixSet
@@ -30,12 +30,18 @@ class AutonomousSystem:
 
 
 class ASRegistry:
-    """Registry of autonomous systems supporting whois-style lookups."""
+    """Registry of autonomous systems supporting whois-style lookups.
+
+    The prefix index is built on the first :meth:`whois` after a
+    registration, not on every :meth:`register`: a routing model
+    registers a few hundred ISPs before it asks its first question.
+    """
 
     def __init__(self) -> None:
         self._by_number: Dict[int, AutonomousSystem] = {}
-        self._prefix_set = PrefixSet()
-        self._dirty_blocks: list = []
+        #: Every registered ``(network, AS number)`` block, in order.
+        self._blocks: List[Tuple[IPv4Network, int]] = []
+        self._prefix_set: Optional[PrefixSet] = None
 
     def register(
         self, number: int, name: str, prefixes: Iterable[IPv4Network | str]
@@ -49,13 +55,9 @@ class ASRegistry:
         )
         asys = AutonomousSystem(number, name, nets)
         self._by_number[number] = asys
-        for net in nets:
-            self._dirty_blocks.append((net, number))
-        self._rebuild()
+        self._blocks.extend((net, number) for net in nets)
+        self._prefix_set = None
         return asys
-
-    def _rebuild(self) -> None:
-        self._prefix_set = PrefixSet(self._dirty_blocks)
 
     def get(self, number: int) -> Optional[AutonomousSystem]:
         return self._by_number.get(number)
@@ -68,7 +70,10 @@ class ASRegistry:
 
     def whois(self, addr) -> Optional[AutonomousSystem]:
         """The AS announcing the prefix containing ``addr``, else None."""
-        number = self._prefix_set.lookup(addr)
+        prefix_set = self._prefix_set
+        if prefix_set is None:
+            prefix_set = self._prefix_set = PrefixSet(self._blocks)
+        number = prefix_set.lookup(addr)
         if number is None:
             return None
         return self._by_number[number]

@@ -1,8 +1,12 @@
 """Unit tests for the AS registry (whois)."""
 
+import random
+
 import pytest
 
 from repro.net.asn import ASRegistry, AutonomousSystem
+from repro.net.ipv4 import IPv4Address
+from repro.net.prefixset import PrefixSet
 
 
 class TestASRegistry:
@@ -45,3 +49,42 @@ class TestASRegistry:
     def test_invalid_as_number(self):
         with pytest.raises(ValueError):
             AutonomousSystem(0, "bad")
+
+
+class TestLazyPrefixIndex:
+    def test_whois_after_late_registration(self):
+        reg = ASRegistry()
+        reg.register(7001, "isp-a", ["80.0.1.0/24"])
+        assert reg.whois("80.0.2.9") is None
+        reg.register(7002, "isp-b", ["80.0.2.0/24"])
+        assert reg.whois("80.0.2.9").number == 7002
+        assert reg.whois("80.0.1.9").number == 7001
+
+    def test_lookups_equal_an_eager_prefix_set(self):
+        rng = random.Random(5)
+        reg = ASRegistry()
+        blocks = []
+        for number in range(64500, 64560):
+            prefixes = [
+                f"{rng.randrange(20, 30)}.{rng.randrange(256)}.0.0/"
+                f"{rng.choice((12, 16, 20))}"
+                for _ in range(rng.randrange(1, 4))
+            ]
+            asys = reg.register(number, f"isp-{number}", prefixes)
+            blocks.extend((net, number) for net in asys.prefixes)
+        eager = PrefixSet(blocks)
+        probes = [
+            IPv4Address(rng.randrange(20 << 24, 30 << 24))
+            for _ in range(2000)
+        ]
+        for addr in probes:
+            asys = reg.whois(addr)
+            assert (asys.number if asys else None) == eager.lookup(addr)
+
+    def test_duplicate_rejected_after_whois(self):
+        reg = ASRegistry()
+        reg.register(7001, "isp-a", ["80.0.1.0/24"])
+        assert reg.whois("80.0.1.1").number == 7001
+        with pytest.raises(ValueError):
+            reg.register(7001, "isp-dup", ["80.0.9.0/24"])
+        assert reg.whois("80.0.9.1") is None
